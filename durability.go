@@ -232,7 +232,7 @@ func (db *DB) IngestContext(ctx context.Context, table string, rows ...[]Value) 
 	if err := ctx.Err(); err != nil {
 		return wrapCanceled(err)
 	}
-	var it *itel
+	var it *qtel
 	if db.tel != nil {
 		// Like queries, an observed ingest gets a private cancellation
 		// layer so DB.Kill can stop it while it waits for the write lock.
@@ -246,7 +246,7 @@ func (db *DB) IngestContext(ctx context.Context, table string, rows ...[]Value) 
 		srows[i] = schema.Row(r)
 	}
 	if err := db.ingestLocked(ctx, table, srows, it); err != nil {
-		it.finish(err)
+		it.finish(nil, err)
 		return err
 	}
 	// The fsync happens outside the catalog lock: concurrent ingests
@@ -257,7 +257,7 @@ func (db *DB) IngestContext(ctx context.Context, table string, rows ...[]Value) 
 	if db.wal != nil {
 		it.span("fsync", fsyncStart, time.Since(fsyncStart))
 	}
-	it.finish(err)
+	it.finish(nil, err)
 	if err != nil {
 		return err
 	}
@@ -271,7 +271,7 @@ func (db *DB) IngestContext(ctx context.Context, table string, rows ...[]Value) 
 // decodes values by the column kind, so a kind-mismatched value that the
 // in-memory append tolerated would otherwise become a checksum-valid WAL
 // record that recovery can never apply.
-func (db *DB) ingestLocked(ctx context.Context, table string, rows []schema.Row, it *itel) error {
+func (db *DB) ingestLocked(ctx context.Context, table string, rows []schema.Row, it *qtel) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	// Cancellation (a caller hang-up, or DB.Kill) is honored up to the
@@ -309,10 +309,10 @@ func (db *DB) ingestLocked(ctx context.Context, table string, rows []schema.Row,
 	}
 	it.setPhase("apply")
 	applyStart := time.Now()
-	for _, r := range rows {
-		if err := t.Append(r); err != nil {
-			return err
-		}
+	// One Append per batch: the table's indexes absorb the batch in one
+	// merge each.
+	if err := t.Append(rows...); err != nil {
+		return err
 	}
 	db.Catalog.BumpEpoch()
 	it.span("apply", applyStart, time.Since(applyStart))

@@ -387,6 +387,9 @@ func (f *filterSource) step(c *Ctx) ([]schema.Row, error) {
 		return nil, nil
 	}
 	f.rowsIn += len(b)
+	// The WorkerPanic injection fires where the materializing operator
+	// would fire it: when a batch of work starts.
+	c.res.MaybePanic()
 	bytes := int64(len(b)) * rowHdrBytes
 	if err := c.reserveOrCharge(bytes); err != nil {
 		return nil, err
@@ -462,6 +465,8 @@ func (p *projectSource) step(c *Ctx) ([]schema.Row, error) {
 		return nil, nil
 	}
 	p.rowsIn += len(b)
+	// WorkerPanic fires per batch, as in filterSource.
+	c.res.MaybePanic()
 	ne := len(p.n.Exprs)
 	bytes := int64(len(b)) * (rowHdrBytes + int64(ne)*valueBytes)
 	if err := c.reserveOrCharge(bytes); err != nil {
@@ -667,6 +672,8 @@ func (j *joinSource) step(c *Ctx) ([]schema.Row, error) {
 		return nil, nil
 	}
 	j.rowsIn += len(b)
+	// WorkerPanic fires per batch, as in filterSource.
+	c.res.MaybePanic()
 	out := make([]schema.Row, 0, len(b))
 	out, err = j.ps.probeRange(c, b, 0, len(b), out)
 	if err != nil {

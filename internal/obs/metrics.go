@@ -19,6 +19,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -37,6 +38,28 @@ var queryIDs atomic.Uint64
 
 // NextQueryID allocates a process-unique query ID.
 func NextQueryID() QueryID { return QueryID(queryIDs.Add(1)) }
+
+// queryIDSink is the context key WithQueryIDSink stores its slot under.
+type queryIDSink struct{}
+
+// WithQueryIDSink returns a context that learns the ID of the statement
+// the engine opens under it, and a func reading that ID (0 until the
+// engine has published one). A front end uses it to report the same ID
+// the engine registers, logs, traces, and accepts in Kill, rather than
+// minting its own.
+func WithQueryIDSink(ctx context.Context) (context.Context, func() QueryID) {
+	id := new(QueryID)
+	return context.WithValue(ctx, queryIDSink{}, id), func() QueryID { return *id }
+}
+
+// PublishQueryID records a statement's ID in ctx's sink, if it has one.
+// The engine calls it once per statement, on the caller's goroutine,
+// before the statement can fail.
+func PublishQueryID(ctx context.Context, id QueryID) {
+	if p, ok := ctx.Value(queryIDSink{}).(*QueryID); ok {
+		*p = id
+	}
+}
 
 // DefLatencyBuckets are the fixed histogram bounds for latency metrics,
 // in seconds: 100µs to 10s, roughly logarithmic. Chosen so the paper's

@@ -185,11 +185,15 @@ type replayer struct {
 	db   *catalog.Database
 	reg  *core.Registry
 	info *RecoveryInfo
-	// touched tables get their indexes rebuilt and stats re-analyzed once
-	// at the end — appends do not maintain indexes incrementally.
+	// touched tables get their stats re-analyzed once at the end
+	// (appends keep indexes current, but not statistics).
 	touched map[string]bool
-	// indexes defers build_index DDL to finish: building mid-replay would
-	// only be torn down by the post-replay rebuild anyway.
+	// pending holds each table's replayed rows in log order. finish
+	// appends them in one call per table, so the table's existing
+	// indexes absorb the whole replay in one merge rather than one per
+	// record; row IDs and segments come out as if appended per record.
+	pending map[*storage.Table][]schema.Row
+	// indexes defers build_index DDL to finish, after the appends.
 	indexes map[string]map[string]bool
 }
 
@@ -216,9 +220,10 @@ func (rp *replayer) apply(rec Record) error {
 				}
 				row[j] = v
 			}
-			if err := t.Append(row); err != nil {
-				return err
+			if rp.pending == nil {
+				rp.pending = make(map[*storage.Table][]schema.Row)
 			}
+			rp.pending[t] = append(rp.pending[t], row)
 		}
 		rp.info.ReplayedRows += int64(len(p.Rows))
 		rp.touch(p.Table)
@@ -278,8 +283,14 @@ func (rp *replayer) touch(table string) {
 	rp.touched[table] = true
 }
 
-// finish rebuilds indexes and statistics for every table replay touched.
+// finish applies the replayed appends, builds the deferred indexes, and
+// refreshes statistics for every table replay touched.
 func (rp *replayer) finish() error {
+	for t, rows := range rp.pending {
+		if err := t.Append(rows...); err != nil {
+			return fmt.Errorf("persist: replay: %w", err)
+		}
+	}
 	for name, cols := range rp.indexes {
 		t, ok := rp.db.Table(name)
 		if !ok {
@@ -292,18 +303,9 @@ func (rp *replayer) finish() error {
 		}
 	}
 	for name := range rp.touched {
-		t, ok := rp.db.Table(name)
-		if !ok {
-			continue
+		if t, ok := rp.db.Table(name); ok {
+			t.Analyze()
 		}
-		for ord, c := range t.Schema.Columns {
-			if t.HasIndex(ord) {
-				if err := t.BuildIndex(c.Name); err != nil {
-					return fmt.Errorf("persist: replay: %w", err)
-				}
-			}
-		}
-		t.Analyze()
 	}
 	return nil
 }

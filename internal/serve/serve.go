@@ -353,8 +353,8 @@ type queryRequest struct {
 	Strategy string `json:"strategy,omitempty"`
 	// Rules restricts cleansing to the named rules.
 	Rules []string `json:"rules,omitempty"`
-	// TimeoutMS bounds rewrite+execution; composes with the server-side
-	// default (the shorter wins).
+	// TimeoutMS bounds rewrite+execution, replacing the server-side
+	// default (the request wins).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Parallelism caps this query's worker-pool width.
 	Parallelism int `json:"parallelism,omitempty"`
@@ -426,14 +426,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeCode(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
 		return
 	}
-	qid := obs.NextQueryID()
+	// The engine owns the query ID: the sink learns the one it registers,
+	// logs, and traces, so X-Query-Id is the ID Kill accepts.
+	ctx, qid := obs.WithQueryIDSink(r.Context())
 	start := time.Now()
-	rows, err := s.cfg.DB.QueryStreamContext(r.Context(), req.SQL, opts...)
+	rows, err := s.cfg.DB.QueryStreamContext(ctx, req.SQL, opts...)
 	if err != nil {
-		s.writeErr(w, qid, err)
+		s.writeErr(w, qid(), err)
 		return
 	}
-	s.streamLive(w, r, qid, rows, start)
+	s.streamLive(w, r, qid(), rows, start)
 }
 
 // prepareResponse is the body of a successful /v1/prepare.
@@ -499,14 +501,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeCode(w, http.StatusNotFound, CodeNoStatement, "no such statement: "+r.PathValue("stmt"), 0)
 		return
 	}
-	qid := obs.NextQueryID()
+	ctx, qid := obs.WithQueryIDSink(r.Context())
 	start := time.Now()
-	rows, err := p.StreamContext(r.Context())
+	rows, err := p.StreamContext(ctx)
 	if err != nil {
-		s.writeErr(w, qid, err)
+		s.writeErr(w, qid(), err)
 		return
 	}
-	s.streamLive(w, r, qid, rows, start)
+	s.streamLive(w, r, qid(), rows, start)
 }
 
 // sessionInfo is the body of GET /v1/sessions/{id}.

@@ -64,14 +64,21 @@ func NewTable(name string, s *schema.Schema) *Table {
 
 // Append adds rows to the table's mutable tail, sealing exact
 // segRows-sized chunks into immutable columnar segments as the tail
-// fills. Indexes and statistics become stale and must be refreshed with
-// BuildIndex / Analyze; the loader pattern in this repo is bulk-load then
-// index, matching the paper's load-then-query experiments.
+// fills. Every existing index absorbs the call's rows in one merge that
+// builds new slices (range scans handed out earlier keep reading the old
+// ones), so an index scan after ingest sees the new rows; pass a batch
+// per call to pay one merge per batch. Statistics go stale until
+// Analyze. The loader pattern in this repo is bulk-load then index,
+// matching the paper's load-then-query experiments.
 func (t *Table) Append(rows ...schema.Row) error {
 	for _, r := range rows {
 		if len(r) != t.Schema.Len() {
 			return fmt.Errorf("storage: row arity %d does not match schema %d for table %s", len(r), t.Schema.Len(), t.Name)
 		}
+	}
+	base := t.RowCount()
+	for ord, ix := range t.indexes {
+		t.indexes[ord] = ix.merged(rows, base)
 	}
 	t.tail = append(t.tail, rows...)
 	if len(t.tail) < t.segRows {
@@ -158,34 +165,42 @@ type Index struct {
 	rows   []int32
 }
 
+// indexEntry is one (value, rowID) pair while an index is built.
+type indexEntry struct {
+	v   types.Value
+	row int32
+}
+
+// valueLess orders index values. Mixed-kind columns are a schema
+// violation; they order arbitrarily (never less).
+func valueLess(a, b types.Value) bool {
+	c, err := types.Compare(a, b)
+	return err == nil && c < 0
+}
+
+// sortEntries orders entries by value, keeping row order among equal
+// values, so equal keys scan in rowID order.
+func sortEntries(entries []indexEntry) {
+	sort.SliceStable(entries, func(a, b int) bool { return valueLess(entries[a].v, entries[b].v) })
+}
+
 // BuildIndex builds (or rebuilds) a sorted index on the named column.
 func (t *Table) BuildIndex(column string) error {
 	ord := t.Schema.IndexOf(column)
 	if ord < 0 {
 		return fmt.Errorf("storage: no column %q in table %s", column, t.Name)
 	}
-	type entry struct {
-		v   types.Value
-		row int32
-	}
-	entries := make([]entry, 0, t.RowCount())
+	entries := make([]indexEntry, 0, t.RowCount())
 	for _, seg := range t.Segments() {
 		for i := 0; i < seg.Len(); i++ {
 			v := seg.Value(ord, i)
 			if v.IsNull() {
 				continue
 			}
-			entries = append(entries, entry{v: v, row: int32(seg.Base + i)})
+			entries = append(entries, indexEntry{v: v, row: int32(seg.Base + i)})
 		}
 	}
-	sort.SliceStable(entries, func(a, b int) bool {
-		c, err := types.Compare(entries[a].v, entries[b].v)
-		if err != nil {
-			// Mixed-kind columns are a schema violation; order arbitrarily.
-			return false
-		}
-		return c < 0
-	})
+	sortEntries(entries)
 	idx := &Index{
 		Column: ord,
 		vals:   make([]types.Value, len(entries)),
@@ -197,6 +212,36 @@ func (t *Table) BuildIndex(column string) error {
 	}
 	t.indexes[ord] = idx
 	return nil
+}
+
+// merged returns a new index holding ix's entries plus the non-NULL
+// values of rows, numbered from rowID base, in the order BuildIndex
+// would give them: existing entries have lower rowIDs, so they precede
+// new entries with equal values. ix itself is left untouched.
+func (ix *Index) merged(rows []schema.Row, base int) *Index {
+	add := make([]indexEntry, 0, len(rows))
+	for i, r := range rows {
+		if v := r[ix.Column]; !v.IsNull() {
+			add = append(add, indexEntry{v: v, row: int32(base + i)})
+		}
+	}
+	if len(add) == 0 {
+		return ix
+	}
+	sortEntries(add)
+	n := len(ix.vals) + len(add)
+	out := &Index{Column: ix.Column, vals: make([]types.Value, 0, n), rows: make([]int32, 0, n)}
+	i := 0
+	for _, e := range add {
+		// Copy the run of existing entries that sort at or before e in
+		// bulk: a batch costs O(batch × log n) comparisons plus one copy.
+		j := i + sort.Search(len(ix.vals)-i, func(k int) bool { return valueLess(e.v, ix.vals[i+k]) })
+		out.vals, out.rows = append(out.vals, ix.vals[i:j]...), append(out.rows, ix.rows[i:j]...)
+		out.vals, out.rows = append(out.vals, e.v), append(out.rows, e.row)
+		i = j
+	}
+	out.vals, out.rows = append(out.vals, ix.vals[i:]...), append(out.rows, ix.rows[i:]...)
+	return out
 }
 
 // IndexOn returns the index on the named column, or nil.

@@ -626,7 +626,8 @@ func WithRules(names ...string) QueryOption {
 	return func(o *queryOpts) { o.rules = names }
 }
 
-// WithTimeout bounds the query's total rewrite+execution time. Zero (the
+// WithTimeout bounds the query's total rewrite+execution time — on a
+// prepared statement, each run's admission+execution time. Zero (the
 // default) means no limit. It composes with any deadline already on the
 // caller's context: whichever expires first cancels the query, which then
 // fails with an error matching both ErrCanceled and
@@ -684,12 +685,6 @@ func WithFaults(f FaultInjection) QueryOption {
 	return func(o *queryOpts) { o.faults = f }
 }
 
-// execCtx builds the execution context for one query run, applying the
-// WithParallelism and WithRowEval options.
-func (o *queryOpts) execCtx(ctx context.Context) *exec.Ctx {
-	return exec.NewCtxWith(ctx).SetParallelism(o.parallelism).SetVectorize(!o.rowEval)
-}
-
 // resources builds the per-query governance handle from the query options
 // layered over the engine defaults.
 func (db *DB) resources(o *queryOpts) *govern.Resources {
@@ -698,16 +693,6 @@ func (db *DB) resources(o *queryOpts) *govern.Resources {
 		limit = o.memLimit
 	}
 	return govern.NewResources(limit, !o.noSpill, db.spillDir, o.faults)
-}
-
-// admitQuery passes one query through admission control, tagging
-// queue-wait cancellations with ErrCanceled.
-func (db *DB) admitQuery(ctx context.Context) (func(), error) {
-	release, err := db.admit.Acquire(ctx)
-	if err != nil {
-		return nil, wrapCanceled(err)
-	}
-	return release, nil
 }
 
 // deadline applies the WithTimeout option, if any, to ctx.
@@ -738,10 +723,10 @@ type Rows struct {
 	trace *Trace
 
 	// pos/cur are the cursor over Data (eager) or the current streamed
-	// row; src is the live executor stream, nil on eager results.
+	// row; src is the live statement, nil on eager results.
 	pos int
 	cur []Value
-	src *rowsStream
+	src *statement
 }
 
 // RewriteInfo reports the chosen rewrite.
@@ -768,78 +753,17 @@ func (db *DB) Query(sql string, opts ...QueryOption) (*Rows, error) {
 // expiry stops execution cooperatively mid-operator, and the query fails
 // with an error matching ErrCanceled and the context's own error.
 func (db *DB) QueryContext(ctx context.Context, sql string, opts ...QueryOption) (*Rows, error) {
-	o := applyOpts(opts)
-	ctx, cancel := o.deadline(ctx)
-	defer cancel()
-	tel := db.startQuery(sql, o)
-	if tel != nil {
-		// A private cancellation layer under the caller's context so
-		// DB.Kill can stop exactly this query; the registry entry holds
-		// the cancel func.
-		var kill context.CancelFunc
-		ctx, kill = context.WithCancel(ctx)
-		defer kill()
-		tel.activate("query", kill)
-		tel.setPhase("queued")
-	}
-	admitStart := time.Now()
-	release, err := db.admitQuery(ctx)
-	if err != nil {
-		tel.finish(nil, err)
-		return nil, err
-	}
-	tel.noteAdmit(admitStart, time.Since(admitStart))
-	defer release()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rows, err := db.queryLocked(ctx, sql, o, tel)
-	tel.finish(rows, err)
-	return rows, err
+	return db.query(ctx, sql, applyOpts(opts), nil, modeEager)
 }
 
-// queryLocked runs one governed query under an already-held read lock.
-// tel, when non-nil, observes the run (phase spans, per-operator stats,
-// memory accounting); the caller finishes it.
-func (db *DB) queryLocked(ctx context.Context, sql string, o *queryOpts, tel *qtel) (*Rows, error) {
-	key := newCacheKey(sql, o, db.Catalog.Epoch())
-	var compileStart time.Time
-	if tel != nil {
-		tel.setPhase("compile")
-		compileStart = time.Now()
-	}
-	res, inf, err := db.rewriteCached(sql, o)
+// query is the entry points' shared body: open one statement and build
+// its Rows.
+func (db *DB) query(ctx context.Context, sql string, o *queryOpts, p *Prepared, mode stmtMode) (*Rows, error) {
+	s, err := db.openStatement(ctx, sql, o, p, mode)
 	if err != nil {
 		return nil, err
 	}
-	tel.notePhases(res.Phases, inf.CacheHit, compileStart)
-	grs := db.resources(o)
-	defer grs.Close()
-	ectx := o.execCtx(ctx).SetResources(grs)
-	var execStart time.Time
-	if tel != nil {
-		ectx.EnableStats()
-		tel.attachExec(ectx, grs)
-		tel.setPhase("execute")
-		execStart = time.Now()
-	}
-	out, err := exec.Run(ectx, res.Plan)
-	db.totals.note(grs.Stats(), err != nil && grs.Exhausted())
-	if tel != nil {
-		tel.noteMem(grs.Stats())
-		tel.noteExec(res.Plan, ectx, execStart, time.Since(execStart))
-	}
-	if err != nil {
-		if grs.Exhausted() {
-			// Drop the cached plan so a retry under a raised limit (or with
-			// spilling re-enabled) replans instead of being pinned to the
-			// entry that just failed.
-			db.cache.evict(key)
-		}
-		return nil, wrapCanceled(err)
-	}
-	rows := newRows(out, res.Plan, inf)
-	rows.Mem = grs.Stats()
-	return rows, nil
+	return s.result()
 }
 
 // Rewrite returns the rewritten SQL without executing it.
@@ -897,8 +821,8 @@ type Prepared struct {
 	sql  string
 	plan exec.Node
 	info RewriteInfo
-	// opts are the Prepare-time query options (parallelism, row-eval,
-	// memory limit, spill, faults), applied to every Run.
+	// opts are the Prepare-time query options (timeout, parallelism,
+	// row-eval, memory limit, spill, faults), applied to every run.
 	opts *queryOpts
 	// key is the plan-cache entry this Prepared was resolved through;
 	// RunContext evicts it when a run exhausts its memory budget.
@@ -910,8 +834,9 @@ func (db *DB) Prepare(sql string, opts ...QueryOption) (*Prepared, error) {
 	return db.PrepareContext(context.Background(), sql, opts...)
 }
 
-// PrepareContext is Prepare governed by a context; a WithTimeout option
-// is ignored here (apply it per-run via RunContext deadlines instead).
+// PrepareContext is Prepare governed by a context. A WithTimeout option
+// does not bound Prepare itself: it bounds every Run and Stream of the
+// statement, like the other Prepare-time options.
 func (db *DB) PrepareContext(ctx context.Context, sql string, opts ...QueryOption) (*Prepared, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, wrapCanceled(err)
@@ -937,57 +862,12 @@ func (p *Prepared) Run() (*Rows, error) {
 
 // RunContext executes the prepared plan under a context; cancellation
 // stops execution cooperatively, as in QueryContext. Runs pass through
-// admission control and are governed by the Prepare-time memory options;
+// admission control and are governed by the Prepare-time timeout and
+// memory options;
 // a run that exhausts its budget also evicts the plan's cache entry, so
 // a later Query or Prepare under a raised limit replans fresh.
 func (p *Prepared) RunContext(ctx context.Context) (*Rows, error) {
-	tel := p.db.startQuery(p.sql, p.opts)
-	if tel != nil {
-		var kill context.CancelFunc
-		ctx, kill = context.WithCancel(ctx)
-		defer kill()
-		tel.activate("query", kill)
-		tel.setPhase("queued")
-	}
-	admitStart := time.Now()
-	release, err := p.db.admitQuery(ctx)
-	if err != nil {
-		tel.finish(nil, err)
-		return nil, err
-	}
-	tel.noteAdmit(admitStart, time.Since(admitStart))
-	defer release()
-	p.db.mu.RLock()
-	defer p.db.mu.RUnlock()
-	tel.notePrepared(p.info.CacheHit)
-	grs := p.db.resources(p.opts)
-	defer grs.Close()
-	ectx := p.opts.execCtx(ctx).SetResources(grs).EnableBuildReuse(p.db.Catalog.Epoch())
-	var execStart time.Time
-	if tel != nil {
-		ectx.EnableStats()
-		tel.attachExec(ectx, grs)
-		tel.setPhase("execute")
-		execStart = time.Now()
-	}
-	out, err := exec.Run(ectx, p.plan)
-	p.db.totals.note(grs.Stats(), err != nil && grs.Exhausted())
-	if tel != nil {
-		tel.noteMem(grs.Stats())
-		tel.noteExec(p.plan, ectx, execStart, time.Since(execStart))
-	}
-	if err != nil {
-		if grs.Exhausted() {
-			p.db.cache.evict(p.key)
-		}
-		err = wrapCanceled(err)
-		tel.finish(nil, err)
-		return nil, err
-	}
-	rows := newRows(out, p.plan, p.info)
-	rows.Mem = grs.Stats()
-	tel.finish(rows, nil)
-	return rows, nil
+	return p.db.query(ctx, p.sql, p.opts, p, modeEager)
 }
 
 // ExplainAnalyze rewrites and executes the query, returning the plan
@@ -1002,66 +882,18 @@ func (db *DB) ExplainAnalyze(sql string, opts ...QueryOption) (string, error) {
 // operators that spilled are annotated with their run counts, and a
 // trailer line reports the query's peak memory and spill volume.
 func (db *DB) ExplainAnalyzeContext(ctx context.Context, sql string, opts ...QueryOption) (string, error) {
-	o := applyOpts(opts)
-	ctx, cancel := o.deadline(ctx)
-	defer cancel()
-	tel := db.startQuery(sql, o)
-	if tel != nil {
-		var kill context.CancelFunc
-		ctx, kill = context.WithCancel(ctx)
-		defer kill()
-		tel.activate("query", kill)
-		tel.setPhase("queued")
-	}
-	admitStart := time.Now()
-	release, err := db.admitQuery(ctx)
+	s, err := db.openStatement(ctx, sql, applyOpts(opts), nil, modeAnalyze)
 	if err != nil {
-		tel.finish(nil, err)
 		return "", err
 	}
-	tel.noteAdmit(admitStart, time.Since(admitStart))
-	defer release()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	key := newCacheKey(sql, o, db.Catalog.Epoch())
-	var compileStart time.Time
-	if tel != nil {
-		tel.setPhase("compile")
-		compileStart = time.Now()
-	}
-	res, inf, err := db.rewriteCached(sql, o)
+	rows, err := s.result()
 	if err != nil {
-		tel.finish(nil, err)
 		return "", err
 	}
-	tel.notePhases(res.Phases, inf.CacheHit, compileStart)
-	grs := db.resources(o)
-	defer grs.Close()
-	ectx := exec.NewAnalyzeCtxWith(ctx).SetParallelism(o.parallelism).SetVectorize(!o.rowEval).SetResources(grs)
-	if tel != nil {
-		tel.attachExec(ectx, grs)
-		tel.setPhase("execute")
-	}
-	execStart := time.Now()
-	_, runErr := exec.Run(ectx, res.Plan)
-	db.totals.note(grs.Stats(), runErr != nil && grs.Exhausted())
-	if tel != nil {
-		tel.noteMem(grs.Stats())
-		tel.noteExec(res.Plan, ectx, execStart, time.Since(execStart))
-	}
-	if runErr != nil {
-		if grs.Exhausted() {
-			db.cache.evict(key)
-		}
-		runErr = wrapCanceled(runErr)
-		tel.finish(nil, runErr)
-		return "", runErr
-	}
-	tel.finish(nil, nil)
 	var b strings.Builder
-	fmt.Fprintf(&b, "-- strategy: %s (est cost %.0f)\n", res.Strategy, res.EstCost)
-	b.WriteString(exec.ExplainAnalyze(res.Plan, ectx))
-	m := grs.Stats()
+	fmt.Fprintf(&b, "-- strategy: %s (est cost %.0f)\n", s.info.Strategy, s.info.EstCost)
+	b.WriteString(exec.ExplainAnalyze(s.plan, s.ectx))
+	m := rows.Mem
 	fmt.Fprintf(&b, "-- mem: peak=%s", FormatBytes(m.Peak))
 	if m.Limit > 0 {
 		fmt.Fprintf(&b, " limit=%s", FormatBytes(m.Limit))
@@ -1071,31 +903,6 @@ func (db *DB) ExplainAnalyzeContext(ctx context.Context, sql string, opts ...Que
 	}
 	b.WriteString("\n")
 	return b.String(), nil
-}
-
-// newRows materializes an executed result into the public Rows shape —
-// the single point where result rows leave the engine, shared by
-// DB.Query and Prepared.Run. When the plan's root exclusively owns its
-// output (projections, joins, aggregates — anything that built fresh
-// rows rather than slicing stored segments), the rows are adopted
-// as-is; only roots that alias engine-owned storage are copied.
-func newRows(out *exec.Result, plan exec.Node, inf RewriteInfo) *Rows {
-	rows := &Rows{Rewrite: inf}
-	rows.Columns = make([]string, len(out.Schema.Columns))
-	for i, c := range out.Schema.Columns {
-		rows.Columns[i] = c.Name
-	}
-	rows.Data = make([][]Value, len(out.Rows))
-	if exec.OwnsRows(plan) {
-		for i, r := range out.Rows {
-			rows.Data[i] = r
-		}
-	} else {
-		for i, r := range out.Rows {
-			rows.Data[i] = append([]Value{}, r...)
-		}
-	}
-	return rows
 }
 
 // MaterializeCleansed eagerly applies the named rules (all rules on the
@@ -1203,11 +1010,11 @@ func (db *DB) DryRunRuleContext(ctx context.Context, ruleName string, limit int)
 		return nil, err
 	}
 	colList := strings.Join(inCols, ", ")
-	rawRows, err := db.queryLocked(ctx, "SELECT "+colList+" FROM "+reg.Rule.From, applyOpts([]QueryOption{WithStrategy(Dirty)}), nil)
+	rawRows, err := db.collectLocked(ctx, "SELECT "+colList+" FROM "+reg.Rule.From, WithStrategy(Dirty))
 	if err != nil {
 		return nil, err
 	}
-	cleanRows, err := db.queryLocked(ctx, "SELECT "+colList+" FROM "+reg.Rule.On, applyOpts([]QueryOption{WithStrategy(Naive), WithRules(ruleName)}), nil)
+	cleanRows, err := db.collectLocked(ctx, "SELECT "+colList+" FROM "+reg.Rule.On, WithStrategy(Naive), WithRules(ruleName))
 	if err != nil {
 		return nil, err
 	}
@@ -1264,6 +1071,18 @@ func (db *DB) DryRunRuleContext(ctx context.Context, ruleName string, limit int)
 		}
 	}
 	return eff, nil
+}
+
+// collectLocked runs one of DryRunRule's sub-queries under the caller's
+// read lock, so both read one catalog state: no admission, registry
+// entry or telemetry, but the same resources, totals and finish as any
+// statement.
+func (db *DB) collectLocked(ctx context.Context, sql string, opts ...QueryOption) (*Rows, error) {
+	s := &statement{db: db, mode: modeEager, ctx: ctx, cancel: func() {}}
+	if err := s.open(sql, applyOpts(opts), nil); err != nil {
+		return nil, err
+	}
+	return s.result()
 }
 
 // ExpandedConditions reports the per-rule expanded conditions the

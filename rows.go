@@ -5,20 +5,18 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/exec"
-	"repro/internal/govern"
-	"repro/internal/schema"
 	"repro/internal/types"
 )
 
-// This file is the incremental-consumption side of the Rows API. A Rows
-// returned by Query/QueryContext is eager — Data fully materialized —
-// and Next/Scan simply cursor over it. A Rows returned by QueryStream /
-// QueryStreamContext / Prepared.Stream is live: Next pulls morsel-sized
-// batches from the streaming executor (internal/exec.Open), so the
-// first rows are available while the scan is still claiming morsels.
-// Results, errors, and their order are byte-identical between the two
-// modes at any parallelism.
+// This file is the incremental-consumption side of the Rows API. Every
+// Rows comes from one statement executing as an internal/exec.Open
+// stream (statement.go). A Rows returned by Query/QueryContext is eager
+// — the stream collected into Data — and Next/Scan simply cursor over
+// it. A Rows returned by QueryStream / QueryStreamContext /
+// Prepared.Stream is live: Next pulls morsel-sized batches from the
+// stream, so the first rows are available while the scan is still
+// claiming morsels. Results, errors, and their order are byte-identical
+// between the two modes at any parallelism.
 
 // QueryStream rewrites the SQL under the active cleansing rules and
 // begins executing it, returning before the result is complete: iterate
@@ -39,56 +37,7 @@ func (db *DB) QueryStream(sql string, opts ...QueryOption) (*Rows, error) {
 // everything, making a later Close a no-op). Canceling ctx aborts the
 // stream cooperatively with an error matching ErrCanceled.
 func (db *DB) QueryStreamContext(ctx context.Context, sql string, opts ...QueryOption) (*Rows, error) {
-	o := applyOpts(opts)
-	queryStart := time.Now()
-	dctx, cancelDeadline := o.deadline(ctx)
-	// Every stream gets a private cancel so Close can stop in-flight
-	// engine work promptly, whether or not a deadline was set.
-	qctx, cancelQuery := context.WithCancel(dctx)
-	cancel := func() { cancelQuery(); cancelDeadline() }
-	tel := db.startQuery(sql, o)
-	// The stream's private cancel is exactly what Kill needs: it stops
-	// in-flight engine work and the consumer sees ErrCanceled from Next.
-	tel.activate("query", cancelQuery)
-	tel.setPhase("queued")
-	admitStart := time.Now()
-	release, err := db.admitQuery(qctx)
-	if err != nil {
-		cancel()
-		tel.finish(nil, err)
-		return nil, err
-	}
-	tel.noteAdmit(admitStart, time.Since(admitStart))
-	db.mu.RLock()
-	key := newCacheKey(sql, o, db.Catalog.Epoch())
-	var compileStart time.Time
-	if tel != nil {
-		tel.setPhase("compile")
-		compileStart = time.Now()
-	}
-	res, inf, err := db.rewriteCached(sql, o)
-	if err != nil {
-		db.mu.RUnlock()
-		release()
-		cancel()
-		tel.finish(nil, err)
-		return nil, err
-	}
-	tel.notePhases(res.Phases, inf.CacheHit, compileStart)
-	grs := db.resources(o)
-	ectx := o.execCtx(qctx).SetResources(grs)
-	if tel != nil {
-		ectx.EnableStats()
-		tel.attachExec(ectx, grs)
-		tel.setPhase("stream")
-	}
-	return newStreamingRows(db, res.OpenStream(ectx), res.Plan, ectx, grs, tel, key, inf, streamHandles{
-		qctx:       qctx,
-		cancel:     cancel,
-		unlock:     db.mu.RUnlock,
-		release:    release,
-		queryStart: queryStart,
-	}), nil
+	return db.query(ctx, sql, applyOpts(opts), nil, modeStream)
 }
 
 // Stream begins executing the prepared plan incrementally; see
@@ -102,156 +51,7 @@ func (p *Prepared) Stream() (*Rows, error) {
 // the same per-run governance as RunContext, including build-side reuse
 // for CacheBuild joins.
 func (p *Prepared) StreamContext(ctx context.Context) (*Rows, error) {
-	queryStart := time.Now()
-	qctx, cancel := context.WithCancel(ctx)
-	tel := p.db.startQuery(p.sql, p.opts)
-	tel.activate("query", cancel)
-	tel.setPhase("queued")
-	admitStart := time.Now()
-	release, err := p.db.admitQuery(qctx)
-	if err != nil {
-		cancel()
-		tel.finish(nil, err)
-		return nil, err
-	}
-	tel.noteAdmit(admitStart, time.Since(admitStart))
-	p.db.mu.RLock()
-	tel.notePrepared(p.info.CacheHit)
-	grs := p.db.resources(p.opts)
-	ectx := p.opts.execCtx(qctx).SetResources(grs).EnableBuildReuse(p.db.Catalog.Epoch())
-	if tel != nil {
-		ectx.EnableStats()
-		tel.attachExec(ectx, grs)
-		tel.setPhase("stream")
-	}
-	return newStreamingRows(p.db, exec.Open(ectx, p.plan), p.plan, ectx, grs, tel, p.key, p.info, streamHandles{
-		qctx:       qctx,
-		cancel:     cancel,
-		unlock:     p.db.mu.RUnlock,
-		release:    release,
-		queryStart: queryStart,
-	}), nil
-}
-
-// streamHandles bundles the per-query lifecycle obligations a streaming
-// Rows must discharge exactly once when it finishes.
-type streamHandles struct {
-	qctx       context.Context
-	cancel     context.CancelFunc
-	unlock     func()
-	release    func()
-	queryStart time.Time
-}
-
-// rowsStream is the live half of a streaming Rows: the executor
-// iterator plus everything finish must settle — telemetry, resource
-// accounting, the catalog read lock, and the admission slot.
-type rowsStream struct {
-	db     *DB
-	stream exec.Stream
-	plan   exec.Node
-	ectx   *exec.Ctx
-	grs    *govern.Resources
-	tel    *qtel
-	key    cacheKey
-	owned  bool
-	streamHandles
-	execStart time.Time
-	gotFirst  bool
-	finished  bool
-	err       error
-	batch     []schema.Row
-	bi        int
-}
-
-func newStreamingRows(db *DB, stream exec.Stream, plan exec.Node, ectx *exec.Ctx, grs *govern.Resources, tel *qtel, key cacheKey, inf RewriteInfo, h streamHandles) *Rows {
-	rows := &Rows{Rewrite: inf}
-	sch := stream.Schema()
-	rows.Columns = make([]string, len(sch.Columns))
-	for i, c := range sch.Columns {
-		rows.Columns[i] = c.Name
-	}
-	rows.src = &rowsStream{
-		db: db, stream: stream, plan: plan, ectx: ectx, grs: grs, tel: tel,
-		key: key, owned: exec.OwnsRows(plan), streamHandles: h, execStart: time.Now(),
-	}
-	return rows
-}
-
-// next advances the cursor by one row, pulling the next executor batch
-// when the current one is drained.
-func (s *rowsStream) next(r *Rows) bool {
-	if s.finished {
-		return false
-	}
-	for s.bi >= len(s.batch) {
-		b, err := s.stream.Next()
-		if err != nil {
-			s.finish(r, err, false)
-			return false
-		}
-		if b == nil {
-			s.finish(r, nil, false)
-			return false
-		}
-		if !s.gotFirst {
-			s.gotFirst = true
-			s.tel.noteFirstRow(time.Since(s.queryStart))
-		}
-		s.batch, s.bi = b, 0
-	}
-	row := s.batch[s.bi]
-	s.bi++
-	if s.owned {
-		// The executor's rows are exclusively owned by this query, so the
-		// cursor hands them out directly.
-		r.cur = []Value(row)
-	} else {
-		r.cur = append(make([]Value, 0, len(row)), row...)
-	}
-	return true
-}
-
-// finish settles the stream exactly once: it stops engine work, joins
-// worker goroutines, records telemetry and resource totals, and gives
-// back the catalog lock and admission slot. closing marks an explicit
-// Close, where a canceled query context (the client hung up mid-stream)
-// is surfaced as the query's outcome instead of a silent "ok".
-func (s *rowsStream) finish(r *Rows, err error, closing bool) {
-	if s.finished {
-		return
-	}
-	s.finished = true
-	if closing && err == nil {
-		if cerr := s.qctx.Err(); cerr != nil {
-			err = cerr
-		}
-	}
-	s.cancel()
-	_ = s.stream.Close()
-	mem := s.grs.Stats()
-	r.Mem = mem
-	s.db.totals.note(mem, err != nil && s.grs.Exhausted())
-	if s.tel != nil {
-		s.tel.noteMem(mem)
-		s.tel.noteExec(s.plan, s.ectx, s.execStart, time.Since(s.execStart))
-	}
-	if err != nil {
-		if s.grs.Exhausted() {
-			// Same policy as the materializing path: drop the cached plan
-			// so a retry under a raised limit replans fresh.
-			s.db.cache.evict(s.key)
-		}
-		s.err = wrapCanceled(err)
-	}
-	s.grs.Close()
-	if s.err != nil {
-		s.tel.finish(nil, s.err)
-	} else {
-		s.tel.finish(r, nil)
-	}
-	s.unlock()
-	s.release()
+	return p.db.query(ctx, p.sql, p.opts, p, modeStream)
 }
 
 // Next advances to the next row, returning false at the end of the
@@ -294,7 +94,7 @@ func (r *Rows) Err() error {
 // stopped reading first.
 func (r *Rows) Close() error {
 	if r.src != nil {
-		r.src.finish(r, nil, true)
+		r.src.finish(r, r.src.ctx.Err())
 	}
 	return nil
 }

@@ -220,16 +220,20 @@ func outcomeOf(err error) string {
 	}
 }
 
-// qtel carries one query's telemetry through the serving path: the metric
-// families to publish into, and the trace under construction when the
-// caller asked for one (WithTrace) or the slow-query log needs spans.
+// qtel carries one statement's telemetry — a query or an ingest batch —
+// through the serving path: the metric families to publish into, the
+// live-operations registry entry (every statement is visible in
+// ActiveQueries and killable), and the trace under construction when the
+// caller asked for one (WithTrace), the slow-query log needs spans, or a
+// trace exporter is configured.
 //
-// A nil *qtel disables telemetry for the query — every method is nil-safe
-// — which is how WithoutTelemetry and internal executions (DryRunRule's
-// sub-queries) opt out without branching at every call site.
+// A nil *qtel disables telemetry for the statement — every method is
+// nil-safe — which is how WithoutTelemetry and internal executions
+// (DryRunRule's sub-queries) opt out without branching at every call site.
 type qtel struct {
 	db    *dbTelemetry
 	m     *dbMetrics
+	kind  string // "query" or "ingest"
 	id    obs.QueryID
 	sql   string
 	start time.Time
@@ -285,42 +289,56 @@ func (t *dbTelemetry) sampleTrace() bool {
 	return (t.traceSeq.Add(1)-1)%t.traceEvery == 0
 }
 
-// startQuery opens one query's telemetry. It returns nil when telemetry
-// is off. Every observed query gets an ID (one atomic increment) so the
-// active-query registry and slow-query log can always identify it; a
-// trace (span tree) is built only when the query asked for one, the
-// slow-query log will want spans, or a trace exporter is configured —
-// metrics publish either way.
-func (db *DB) startQuery(sql string, o *queryOpts) *qtel {
+// startStatement opens one statement's telemetry and registers it in the
+// live-operations registry under id, with cancel as its kill switch. It
+// returns nil when telemetry is off. A trace (span tree) is built only
+// when traced is set (WithTrace), the slow-query log will want spans, or
+// a trace exporter is configured — metrics publish either way.
+func (db *DB) startStatement(kind string, id obs.QueryID, sql string, traced bool, hook func(*Trace), cancel func()) *qtel {
 	t := db.tel
 	if t == nil {
 		return nil
 	}
-	q := &qtel{db: t, m: t.metrics, id: obs.NextQueryID(), sql: sql, start: time.Now(), hook: o.traceHook}
-	if (o.traceSet || t.slowLogger != nil || t.exporter != nil) && t.sampleTrace() {
-		q.trace = obs.NewTrace(q.id, sql)
+	q := &qtel{db: t, m: t.metrics, kind: kind, id: id, sql: sql, start: time.Now(), hook: hook}
+	if (traced || t.slowLogger != nil || t.exporter != nil) && t.sampleTrace() {
+		q.trace = obs.NewTrace(id, sql)
+		q.trace.Root.Name = kind
 		q.trace.Root.Start = q.start
+	}
+	q.entry = t.active.Register(id, kind, sql, q.start, cancel)
+	return q
+}
+
+// startIngest opens one ingest batch's telemetry. The registry SQL field
+// carries a synthetic statement so \queries output reads uniformly.
+func (db *DB) startIngest(table string, nrows int, cancel func()) *qtel {
+	if db.tel == nil {
+		return nil
+	}
+	q := db.startStatement("ingest", obs.NextQueryID(), fmt.Sprintf("INGEST INTO %s (%d rows)", table, nrows), false, nil, cancel)
+	if q.trace != nil {
+		q.trace.Root.SetAttr("table", table)
+		q.trace.Root.SetAttr("rows", strconv.Itoa(nrows))
 	}
 	return q
 }
 
-// activate registers the query in the live-operations registry, making
-// it visible to ActiveQueries and killable through Kill. cancel is the
-// query's private cancellation (nil renders it visible but not
-// killable). Exactly one registry mutation; finish removes the entry.
-func (q *qtel) activate(kind string, cancel func()) {
+// setPhase publishes the statement's current stage to the registry.
+func (q *qtel) setPhase(phase string) {
 	if q == nil {
 		return
 	}
-	q.entry = q.db.active.Register(q.id, kind, q.sql, q.start, cancel)
+	q.entry.SetPhase(phase)
 }
 
-// setPhase publishes the query's current stage to the registry.
-func (q *qtel) setPhase(phase string) {
-	if q == nil || q.entry == nil {
+// span records one completed stage as a child span, when a trace is
+// being built. Stages are recorded after the fact (start + duration), so
+// the hot paths take no extra branches when no trace is sampled.
+func (q *qtel) span(name string, start time.Time, d time.Duration, attrs ...obs.Attr) {
+	if q == nil || q.trace == nil {
 		return
 	}
-	q.entry.SetPhase(phase)
+	q.trace.Root.AddChild(&obs.Span{Name: name, Start: start, Dur: d, Attrs: attrs})
 }
 
 // attachExec wires the registry entry to the running execution: live
@@ -329,7 +347,7 @@ func (q *qtel) setPhase(phase string) {
 // query's current memory reservation. The closures run only when a
 // snapshot is taken — the execution hot path is untouched.
 func (q *qtel) attachExec(ectx *exec.Ctx, grs *govern.Resources) {
-	if q == nil || q.entry == nil {
+	if q == nil {
 		return
 	}
 	stats := func() []obs.ActiveOp {
@@ -352,11 +370,7 @@ func (q *qtel) attachExec(ectx *exec.Ctx, grs *govern.Resources) {
 		sort.Slice(out, func(i, j int) bool { return out[i].Op < out[j].Op })
 		return out
 	}
-	var mem func() int64
-	if grs != nil {
-		mem = grs.Used
-	}
-	q.entry.Attach(stats, mem)
+	q.entry.Attach(stats, grs.Used)
 }
 
 // noteAdmit records the admission wait, as a histogram sample and (in a
@@ -366,9 +380,7 @@ func (q *qtel) noteAdmit(start time.Time, d time.Duration) {
 		return
 	}
 	q.m.admitWait.Observe(d.Seconds())
-	if q.trace != nil {
-		q.trace.Root.AddChild(&obs.Span{Name: "admission-wait", Start: start, Dur: d})
-	}
+	q.span("admission-wait", start, d)
 }
 
 // notePhases records compilation-stage timings. On a plan-cache miss the
@@ -381,28 +393,17 @@ func (q *qtel) notePhases(ph core.Phases, cacheHit bool, at time.Time) {
 	}
 	q.cacheHit = cacheHit
 	if cacheHit {
-		if q.trace != nil {
-			sp := &obs.Span{Name: "plan-cache", Start: at}
-			sp.SetAttr("hit", "true")
-			q.trace.Root.AddChild(sp)
-		}
+		q.span("plan-cache", at, 0, obs.Attr{Key: "hit", Val: "true"})
 		return
 	}
 	q.m.parseDur.Observe(ph.Parse.Seconds())
 	q.m.rewriteDur.Observe(ph.Rewrite.Seconds())
 	q.m.planDur.Observe(ph.Plan.Seconds())
-	if q.trace != nil {
-		// The three phases ran back to back inside the rewriter; their
-		// spans are laid out sequentially from the rewrite start.
-		start := at
-		for _, p := range []struct {
-			name string
-			d    time.Duration
-		}{{"parse", ph.Parse}, {"rewrite", ph.Rewrite}, {"plan", ph.Plan}} {
-			q.trace.Root.AddChild(&obs.Span{Name: p.name, Start: start, Dur: p.d})
-			start = start.Add(p.d)
-		}
-	}
+	// The three phases ran back to back inside the rewriter; their spans
+	// are laid out sequentially from the rewrite start.
+	q.span("parse", at, ph.Parse)
+	q.span("rewrite", at.Add(ph.Parse), ph.Rewrite)
+	q.span("plan", at.Add(ph.Parse+ph.Rewrite), ph.Plan)
 }
 
 // notePrepared marks a Prepared.Run execution: compilation happened at
@@ -414,9 +415,7 @@ func (q *qtel) notePrepared(hit bool) {
 		return
 	}
 	q.cacheHit = hit
-	if q.trace != nil {
-		q.trace.Root.AddChild(&obs.Span{Name: "prepared", Start: time.Now()})
-	}
+	q.span("prepared", time.Now(), 0)
 }
 
 // noteExec publishes per-operator metrics from an execution's recorded
@@ -506,75 +505,91 @@ func (q *qtel) noteMem(m MemStats) {
 	q.mem = m
 }
 
-// finish closes the query's telemetry: outcome and latency metrics, spill
-// and memory accounting, the slow-query log, and trace delivery (to the
-// WithTrace hook and, on success, the Rows). It is called exactly once
-// per observed query, on every exit path.
+// finish closes the statement's telemetry: outcome and latency metrics
+// (plus, for a query, spill and memory accounting), registry removal,
+// trace finalization and delivery (to the WithTrace hook and, on
+// success, the Rows), the slow-query log, and export. It is called
+// exactly once per observed statement, on every exit path.
 func (q *qtel) finish(rows *Rows, err error) {
 	if q == nil {
 		return
 	}
 	dur := time.Since(q.start)
 	oc := outcomeOf(err)
-	// A killed query unwinds through the cancellation machinery and
+	// A killed statement unwinds through the cancellation machinery and
 	// arrives here as "canceled"; the registry entry knows Kill was the
-	// cause. Only a query that actually failed is reclassified — a kill
-	// racing a successful finish stays "ok".
-	if q.entry != nil {
-		if err != nil && q.entry.Killed() {
-			oc = "killed"
+	// cause. Only a statement that actually failed is reclassified — a
+	// kill racing a successful finish stays "ok".
+	if err != nil && q.entry.Killed() {
+		oc = "killed"
+	}
+	q.db.active.Remove(q.id)
+	if q.kind == "ingest" {
+		q.m.ingestDur.Observe(dur.Seconds())
+	} else {
+		q.m.queries.With(oc).Inc()
+		q.m.queryDur.With(oc).Observe(dur.Seconds())
+		if q.mem.Peak > 0 || oc == "ok" {
+			q.m.peakBytes.Observe(float64(q.mem.Peak))
 		}
-		q.db.active.Remove(q.id)
-	}
-	q.m.queries.With(oc).Inc()
-	q.m.queryDur.With(oc).Observe(dur.Seconds())
-	if q.mem.Peak > 0 || oc == "ok" {
-		q.m.peakBytes.Observe(float64(q.mem.Peak))
-	}
-	if q.mem.Spilled() {
-		q.m.spilledQ.Inc()
-		q.m.spillRuns.Add(q.mem.SpillRuns)
-		q.m.spillBytes.Add(q.mem.SpillBytes)
+		if q.mem.Spilled() {
+			q.m.spilledQ.Inc()
+			q.m.spillRuns.Add(q.mem.SpillRuns)
+			q.m.spillBytes.Add(q.mem.SpillBytes)
+		}
 	}
 	if q.trace != nil {
 		q.trace.Root.Dur = dur
 		q.trace.Root.SetAttr("outcome", oc)
-		q.trace.Root.SetAttr("plan_cache_hit", strconv.FormatBool(q.cacheHit))
+		if q.kind == "query" {
+			q.trace.Root.SetAttr("plan_cache_hit", strconv.FormatBool(q.cacheHit))
+		}
 		if rows != nil {
 			rows.trace = q.trace
 		}
 	}
 	if lg := q.db.slowLogger; lg != nil && dur >= q.db.slowThreshold {
-		q.m.slowQ.Inc()
-		attrs := []slog.Attr{
-			slog.String("query_id", q.id.String()),
-			slog.String("sql", q.sql),
-			slog.Duration("duration", dur),
-			slog.String("outcome", oc),
-			slog.Bool("plan_cache_hit", q.cacheHit),
-			slog.Int64("peak_bytes", q.mem.Peak),
-			slog.Int64("spill_runs", q.mem.SpillRuns),
-		}
-		// A streamed query's time to first row: how long the client waited
-		// before any data arrived, often the number that matters when the
-		// total duration is dominated by a slow consumer.
-		if q.firstRow > 0 {
-			attrs = append(attrs, slog.Duration("first_row", q.firstRow))
-		}
-		// Under WithTraceSampling the trace may have been sampled away; the
-		// entry then carries the summary fields but no spans.
-		for i, sp := range q.trace.SlowestSpans(3) {
-			attrs = append(attrs, slog.String(
-				fmt.Sprintf("span_%d", i+1),
-				fmt.Sprintf("%s=%s", sp.Name, sp.Exclusive().Round(time.Microsecond)),
-			))
-		}
-		lg.LogAttrs(context.Background(), slog.LevelWarn, "slow query", attrs...)
+		q.logSlow(lg, dur, oc)
 	}
 	q.db.export(q.trace)
 	if q.hook != nil {
 		q.hook(q.trace)
 	}
+}
+
+// logSlow writes one slow-log entry: the statement's ID, text, duration
+// and outcome; for a query also its plan-cache status, memory, spill
+// runs and (streamed) time to first row; and the three slowest spans by
+// self time. Under WithTraceSampling the trace may have been sampled
+// away; the entry then carries the summary fields but no spans.
+func (q *qtel) logSlow(lg *slog.Logger, dur time.Duration, oc string) {
+	attrs := []slog.Attr{
+		slog.String("query_id", q.id.String()),
+		slog.String("sql", q.sql),
+		slog.Duration("duration", dur),
+		slog.String("outcome", oc),
+	}
+	if q.kind == "query" {
+		q.m.slowQ.Inc()
+		attrs = append(attrs,
+			slog.Bool("plan_cache_hit", q.cacheHit),
+			slog.Int64("peak_bytes", q.mem.Peak),
+			slog.Int64("spill_runs", q.mem.SpillRuns),
+		)
+		// A streamed query's time to first row: how long the client
+		// waited before any data arrived, often the number that matters
+		// when the total duration is dominated by a slow consumer.
+		if q.firstRow > 0 {
+			attrs = append(attrs, slog.Duration("first_row", q.firstRow))
+		}
+	}
+	for i, sp := range q.trace.SlowestSpans(3) {
+		attrs = append(attrs, slog.String(
+			fmt.Sprintf("span_%d", i+1),
+			fmt.Sprintf("%s=%s", sp.Name, sp.Exclusive().Round(time.Microsecond)),
+		))
+	}
+	lg.LogAttrs(context.Background(), slog.LevelWarn, "slow "+q.kind, attrs...)
 }
 
 // export serializes one finished trace to the OTLP exporter, counting
@@ -603,99 +618,6 @@ func (t *dbTelemetry) exportSpan(name string, start time.Time, d time.Duration, 
 	tr.Root.Dur = d
 	tr.Root.Attrs = attrs
 	t.export(tr)
-}
-
-// itel carries one ingest batch's telemetry: the end-to-end latency
-// histogram, the registry entry (ingests are visible in ActiveQueries
-// and killable like queries), and — when a trace is sampled — the
-// durability-pipeline span tree (validate → wal_append → apply → fsync).
-// A nil *itel disables ingest telemetry; every method is nil-safe.
-type itel struct {
-	db    *dbTelemetry
-	m     *dbMetrics
-	id    obs.QueryID
-	start time.Time
-	trace *obs.Trace
-	entry *obs.ActiveEntry
-}
-
-// startIngest opens one ingest batch's telemetry and registers it in the
-// live-operations registry. The registry SQL field carries a synthetic
-// statement so \queries output reads uniformly.
-func (db *DB) startIngest(table string, nrows int, cancel func()) *itel {
-	t := db.tel
-	if t == nil {
-		return nil
-	}
-	sql := fmt.Sprintf("INGEST INTO %s (%d rows)", table, nrows)
-	q := &itel{db: t, m: t.metrics, id: obs.NextQueryID(), start: time.Now()}
-	if (t.slowLogger != nil || t.exporter != nil) && t.sampleTrace() {
-		q.trace = obs.NewTrace(q.id, sql)
-		q.trace.Root.Name = "ingest"
-		q.trace.Root.Start = q.start
-		q.trace.Root.SetAttr("table", table)
-		q.trace.Root.SetAttr("rows", strconv.Itoa(nrows))
-	}
-	q.entry = t.active.Register(q.id, "ingest", sql, q.start, cancel)
-	return q
-}
-
-// setPhase publishes the ingest's current pipeline stage.
-func (q *itel) setPhase(phase string) {
-	if q == nil {
-		return
-	}
-	q.entry.SetPhase(phase)
-}
-
-// span records one completed pipeline stage as a child span, when a
-// trace is being built. Stages are recorded after the fact (start +
-// duration), so the durability path takes no extra branches when no
-// trace is sampled.
-func (q *itel) span(name string, start time.Time, d time.Duration, attrs ...obs.Attr) {
-	if q == nil || q.trace == nil {
-		return
-	}
-	sp := &obs.Span{Name: name, Start: start, Dur: d, Attrs: attrs}
-	q.trace.Root.AddChild(sp)
-}
-
-// finish closes the ingest's telemetry: the latency histogram, registry
-// removal, trace finalization and export, and the slow log (an ingest at
-// or over the slow-query threshold logs like a slow query).
-func (q *itel) finish(err error) {
-	if q == nil {
-		return
-	}
-	dur := time.Since(q.start)
-	oc := outcomeOf(err)
-	if err != nil && q.entry.Killed() {
-		oc = "killed"
-	}
-	q.db.active.Remove(q.id)
-	q.m.ingestDur.Observe(dur.Seconds())
-	if q.trace != nil {
-		q.trace.Root.Dur = dur
-		q.trace.Root.SetAttr("outcome", oc)
-	}
-	if lg := q.db.slowLogger; lg != nil && dur >= q.db.slowThreshold {
-		attrs := []slog.Attr{
-			slog.String("query_id", q.id.String()),
-			slog.Duration("duration", dur),
-			slog.String("outcome", oc),
-		}
-		if q.trace != nil {
-			attrs = append(attrs, slog.String("sql", q.trace.SQL))
-		}
-		for i, sp := range q.trace.SlowestSpans(3) {
-			attrs = append(attrs, slog.String(
-				fmt.Sprintf("span_%d", i+1),
-				fmt.Sprintf("%s=%s", sp.Name, sp.Exclusive().Round(time.Microsecond)),
-			))
-		}
-		lg.LogAttrs(context.Background(), slog.LevelWarn, "slow ingest", attrs...)
-	}
-	q.db.export(q.trace)
 }
 
 // ActiveQueries reports every query and ingest running right now, sorted

@@ -9,6 +9,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo 'gofmt: the files above are not formatted'; exit 1; }
 
 test:
 	$(GO) test ./...

@@ -154,7 +154,7 @@ type groupState struct {
 	first   int // global index of the group's first input row
 }
 
-// Execute implements Node. Aggregation runs in two phases: first every
+// materialize implements breaker. Aggregation runs in two phases: first every
 // row's group key is encoded (and every aggregate argument evaluated)
 // morsel-parallel, then the groups are partitioned by key hash and one
 // worker per partition folds its groups' rows in global input order.
@@ -162,8 +162,8 @@ type groupState struct {
 // accumulation keeps the serial association order and the output is
 // bit-identical at any parallelism — unlike merge-combined partial
 // aggregates, which would reassociate sums.
-func (n *GroupNode) Execute(ctx *Ctx) (*Result, error) {
-	in, err := Run(ctx, n.Input)
+func (n *GroupNode) materialize(ctx *Ctx) (*Result, error) {
+	in, err := ctx.run(n.Input)
 	if err != nil {
 		return nil, err
 	}

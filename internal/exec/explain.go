@@ -101,40 +101,17 @@ func fmtBytes(v float64) string {
 // detail — for use as a metrics label ("rows per operator kind"). The
 // set of kinds is closed over the engine's physical operators.
 func Kind(n Node) string {
-	switch v := n.(type) {
-	case *ScanNode:
-		if v.IndexOrd >= 0 {
-			return "IndexScan"
-		}
-		return "Scan"
-	case *FilterNode:
-		return "Filter"
-	case *ProjectNode:
-		return "Project"
-	case *SortNode:
-		return "Sort"
-	case *LimitNode:
-		return "Limit"
-	case *DistinctNode:
-		return "Distinct"
+	switch n.(type) {
 	case *SetOpNode:
 		return "SetOp"
 	case *UnionNode:
 		return "Union"
 	case *HashJoinNode:
 		return "HashJoin"
-	case *NestedLoopJoinNode:
-		return "NLJoin"
 	case *GroupNode:
 		return "Group"
-	case *WindowNode:
-		return "Window"
-	case *ValuesNode:
-		return "Values"
-	case *RequalifyNode:
-		return "Requalify"
 	}
-	// Unknown operator: fall back to the label up to its detail.
+	// Every other label is its kind, up to the detail in parentheses.
 	label := n.Label()
 	if i := strings.IndexByte(label, '('); i > 0 {
 		return label[:i]

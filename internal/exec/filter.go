@@ -18,6 +18,14 @@ type FilterNode struct {
 	Pred  *eval.Compiled
 	// Desc describes the predicate for EXPLAIN.
 	Desc string
+	// Subqueries are the plans of the uncorrelated IN/EXISTS subqueries
+	// the predicate reads. When present, Pred is nil: the subqueries run
+	// through Run when the filter's pipeline opens, and Compile builds
+	// the predicate from their first-column values, in Subqueries order.
+	// Planning never executes anything, so costing candidate rewrites
+	// never pays for running them.
+	Subqueries []Node
+	Compile    func(subVals [][]types.Value) (*eval.Compiled, error)
 }
 
 // NewFilterNode wraps child with a compiled predicate.
@@ -31,68 +39,22 @@ func NewFilterNode(child Node, pred *eval.Compiled, desc string) *FilterNode {
 // Label implements Node.
 func (n *FilterNode) Label() string { return "Filter(" + n.Desc + ")" }
 
-// Children implements Node.
-func (n *FilterNode) Children() []Node { return []Node{n.Input} }
+// NewSubqueryFilterNode wraps child with a predicate that reads the
+// results of uncorrelated subqueries; see FilterNode.Subqueries.
+func NewSubqueryFilterNode(child Node, subs []Node, compile func([][]types.Value) (*eval.Compiled, error), desc string) *FilterNode {
+	n := NewFilterNode(child, nil, desc)
+	n.Subqueries, n.Compile = subs, compile
+	return n
+}
 
-// Execute implements Node. Morsels filter into per-morsel output slices
-// that concatenate in morsel order, preserving the serial row order. On
-// the vector path the predicate evaluates per chunk into a selection
-// vector; only the selected row references are gathered.
-func (n *FilterNode) Execute(ctx *Ctx) (*Result, error) {
-	in, err := Run(ctx, n.Input)
-	if err != nil {
-		return nil, err
+// Children implements Node: the input, then the subquery plans, so
+// EXPLAIN (and plan-shape assertions) see every table access the filter
+// performs.
+func (n *FilterNode) Children() []Node {
+	if len(n.Subqueries) == 0 {
+		return []Node{n.Input}
 	}
-	// Worst case every row passes; the output holds row references only.
-	if err := ctx.reserveOrCharge(int64(len(in.Rows)) * rowHdrBytes); err != nil {
-		return nil, err
-	}
-	workers := ctx.workersFor(len(in.Rows))
-	ctx.noteWorkers(n, workers)
-	vec := ctx.useVector(n.Pred)
-	ctx.noteEval(n, vec, len(in.Rows))
-	outs := make([][]schema.Row, morselCount(len(in.Rows), workers))
-	err = ctx.parallelFor(len(in.Rows), workers, func(_, m, lo, hi int) error {
-		out := make([]schema.Row, 0, (hi-lo)/4+1)
-		if vec {
-			sel := make([]int, 0, MorselSize)
-			err := ctx.forBatches(lo, hi, func(b, e int) error {
-				var perr error
-				sel, perr = eval.EvalPredicateBatch(n.Pred, in.Rows[b:e], nil, sel[:0])
-				if perr != nil {
-					return perr
-				}
-				for _, i := range sel {
-					out = append(out, in.Rows[b+i])
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			outs[m] = out
-			return nil
-		}
-		for i := lo; i < hi; i++ {
-			if err := ctx.Tick(i - lo); err != nil {
-				return err
-			}
-			r := in.Rows[i]
-			ok, err := eval.EvalPredicate(n.Pred, r)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schema: n.schema, Rows: concatMorsels(outs)}, nil
+	return append([]Node{n.Input}, n.Subqueries...)
 }
 
 // ProjectNode computes output columns from input rows.
@@ -116,67 +78,139 @@ func (n *ProjectNode) Label() string { return fmt.Sprintf("Project(%d cols)", n.
 // Children implements Node.
 func (n *ProjectNode) Children() []Node { return []Node{n.Input} }
 
-// Execute implements Node. Workers write disjoint output positions, so
-// projection parallelizes with no ordering concern at all. The vector
-// path evaluates each expression over a whole chunk into column vectors,
-// then assembles output rows from one flat backing array per chunk.
-func (n *ProjectNode) Execute(ctx *Ctx) (*Result, error) {
-	in, err := Run(ctx, n.Input)
-	if err != nil {
-		return nil, err
-	}
-	ne := len(n.Exprs)
-	if err := ctx.reserveOrCharge(int64(len(in.Rows)) * (rowHdrBytes + int64(ne)*valueBytes)); err != nil {
-		return nil, err
-	}
-	workers := ctx.workersFor(len(in.Rows))
-	ctx.noteWorkers(n, workers)
-	vec := ctx.useVector(n.Exprs...)
-	ctx.noteEval(n, vec, len(in.Rows))
-	out := make([]schema.Row, len(in.Rows))
-	projectSerial := func(b, e int) error {
-		for i := b; i < e; i++ {
-			if err := ctx.Tick(i - b); err != nil {
-				return err
+// Requalified returns a copy of the projection whose output columns
+// carry the qualifier alias. The planner uses it to give a view or
+// derived-table body its reference alias without a Requalify node.
+func (n *ProjectNode) Requalified(alias string) *ProjectNode {
+	c := &ProjectNode{Input: n.Input, Exprs: n.Exprs}
+	c.base = n.base
+	c.schema = n.schema.WithQualifier(alias)
+	return c
+}
+
+// filterStage keeps the rows whose predicate is TRUE. On the vector path
+// the predicate evaluates per chunk into a selection vector and only the
+// selected row references are gathered; kernel errors fall back to the
+// row path inside EvalPredicateBatch, so errors match the row loop.
+type filterStage struct {
+	n    *FilterNode
+	pred *eval.Compiled
+	vec  bool
+}
+
+func (f *filterStage) node() Node { return f.n }
+
+// open compiles a subquery predicate: each subquery runs through Run
+// (once per execution, however often the compiler asks for it).
+func (f *filterStage) open(p *pipe) (*Result, error) {
+	f.pred = f.n.Pred
+	if len(f.n.Subqueries) > 0 {
+		vals := make([][]types.Value, len(f.n.Subqueries))
+		for i, sub := range f.n.Subqueries {
+			r, err := p.ctx.run(sub)
+			if err != nil {
+				return nil, err
 			}
-			r := in.Rows[i]
-			row := make(schema.Row, ne)
-			for j, f := range n.Exprs {
-				v, err := f.Eval(r)
-				if err != nil {
-					return err
-				}
-				row[j] = v
+			col := make([]types.Value, len(r.Rows))
+			for j, row := range r.Rows {
+				col[j] = row[0]
 			}
-			out[i] = row
+			vals[i] = col
 		}
-		return nil
-	}
-	err = ctx.parallelFor(len(in.Rows), workers, func(_, _, lo, hi int) error {
-		if !vec {
-			return projectSerial(lo, hi)
+		pred, err := f.n.Compile(vals)
+		if err != nil {
+			return nil, err
 		}
-		cols := evalScratch(ne, MorselSize)
-		return ctx.forBatches(lo, hi, func(b, e int) error {
-			chunk := in.Rows[b:e]
-			if !tryBatchAll(n.Exprs, chunk, cols) {
-				return projectSerial(b, e)
-			}
-			flat := make([]types.Value, len(chunk)*ne)
-			for i := range chunk {
-				row := flat[i*ne : (i+1)*ne : (i+1)*ne]
-				for j := 0; j < ne; j++ {
-					row[j] = cols[j][i]
-				}
-				out[b+i] = row
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
+		f.pred = pred
 	}
-	return &Result{Schema: n.schema, Rows: out}, nil
+	f.vec = p.ctx.useVector(f.pred)
+	return nil, nil
+}
+
+func (f *filterStage) worker(p *pipe) batchFn {
+	c := p.ctx
+	var sel []int
+	if f.vec {
+		sel = make([]int, 0, MorselSize)
+	}
+	return func(in []schema.Row) ([]schema.Row, error) {
+		// Worst case every row passes; the output holds row references.
+		if err := p.reserveOrCharge(int64(len(in)) * rowHdrBytes); err != nil {
+			return nil, err
+		}
+		out := make([]schema.Row, 0, len(in)/4+1)
+		if f.vec {
+			// Batches can exceed MorselSize (a join probe multiplies rows);
+			// keep kernel chunks at the scratch width.
+			err := c.forBatches(0, len(in), func(b, e int) error {
+				var perr error
+				if sel, perr = eval.EvalPredicateBatch(f.pred, in[b:e], nil, sel[:0]); perr != nil {
+					return perr
+				}
+				for _, i := range sel {
+					out = append(out, in[b+i])
+				}
+				return nil
+			})
+			return out, err
+		}
+		for i, r := range in {
+			if err := c.Tick(i); err != nil {
+				return nil, err
+			}
+			ok, err := eval.EvalPredicate(f.pred, r)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				out = append(out, r)
+			}
+		}
+		return out, nil
+	}
+}
+
+func (f *filterStage) close(p *pipe, rowsIn int) { p.ctx.noteEval(f.n, f.vec, rowsIn) }
+
+// projectStage computes output columns (see Ctx.evalRows).
+type projectStage struct {
+	n   *ProjectNode
+	vec bool
+}
+
+func (s *projectStage) node() Node { return s.n }
+
+func (s *projectStage) open(p *pipe) (*Result, error) {
+	s.vec = p.ctx.useVector(s.n.Exprs...)
+	return nil, nil
+}
+
+func (s *projectStage) worker(p *pipe) batchFn {
+	ne := len(s.n.Exprs)
+	var cols [][]types.Value
+	if s.vec {
+		cols = evalScratch(ne, MorselSize)
+	}
+	return func(in []schema.Row) ([]schema.Row, error) {
+		if err := p.reserveOrCharge(int64(len(in)) * (rowHdrBytes + int64(ne)*valueBytes)); err != nil {
+			return nil, err
+		}
+		out := make([]schema.Row, len(in))
+		return out, p.ctx.evalRows(s.n.Exprs, in, 0, len(in), cols, out)
+	}
+}
+
+func (s *projectStage) close(p *pipe, rowsIn int) { p.ctx.noteEval(s.n, s.vec, rowsIn) }
+
+// requalifyStage passes batches through; the node carries the renamed
+// schema.
+type requalifyStage struct{ n *RequalifyNode }
+
+func (s requalifyStage) node() Node                  { return s.n }
+func (s requalifyStage) open(*pipe) (*Result, error) { return nil, nil }
+func (s requalifyStage) close(*pipe, int)            {}
+func (s requalifyStage) worker(*pipe) batchFn {
+	return func(in []schema.Row) ([]schema.Row, error) { return in, nil }
 }
 
 // SortNode orders rows by compiled key expressions.
@@ -201,13 +235,13 @@ func (n *SortNode) Label() string { return fmt.Sprintf("Sort(%d keys)", len(n.Ke
 // Children implements Node.
 func (n *SortNode) Children() []Node { return []Node{n.Input} }
 
-// Execute implements Node. Sort keys are evaluated exactly once per row
+// materialize implements breaker. Sort keys are evaluated exactly once per row
 // (never per comparison), morsel-parallel; the sort itself runs as
 // stable per-chunk sorts over contiguous input ranges followed by a
 // stable k-way merge (ties go to the earlier chunk), which yields the
 // same permutation as a serial stable sort.
-func (n *SortNode) Execute(ctx *Ctx) (*Result, error) {
-	in, err := Run(ctx, n.Input)
+func (n *SortNode) materialize(ctx *Ctx) (*Result, error) {
+	in, err := ctx.run(n.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -231,44 +265,13 @@ func (n *SortNode) Execute(ctx *Ctx) (*Result, error) {
 	vec := ctx.useVector(n.Keys...)
 	ctx.noteEval(n, vec, nrows)
 
-	keys := make([][]types.Value, nrows)
-	keysSerial := func(b, e int) error {
-		for i := b; i < e; i++ {
-			if err := ctx.Tick(i - b); err != nil {
-				return err
-			}
-			ks := make([]types.Value, nk)
-			for j, f := range n.Keys {
-				v, err := f.Eval(in.Rows[i])
-				if err != nil {
-					return err
-				}
-				ks[j] = v
-			}
-			keys[i] = ks
-		}
-		return nil
-	}
+	keys := make([]schema.Row, nrows)
 	err = ctx.parallelFor(nrows, workers, func(_, _, lo, hi int) error {
-		if !vec {
-			return keysSerial(lo, hi)
+		var cols [][]types.Value
+		if vec {
+			cols = evalScratch(nk, MorselSize)
 		}
-		cols := evalScratch(nk, MorselSize)
-		return ctx.forBatches(lo, hi, func(b, e int) error {
-			chunk := in.Rows[b:e]
-			if !tryBatchAll(n.Keys, chunk, cols) {
-				return keysSerial(b, e)
-			}
-			flat := make([]types.Value, len(chunk)*nk)
-			for i := range chunk {
-				ks := flat[i*nk : (i+1)*nk : (i+1)*nk]
-				for j := 0; j < nk; j++ {
-					ks[j] = cols[j][i]
-				}
-				keys[b+i] = ks
-			}
-			return nil
-		})
+		return ctx.evalRows(n.Keys, in.Rows, lo, hi, cols, keys)
 	})
 	if err != nil {
 		return nil, err
@@ -315,7 +318,7 @@ func (n *SortNode) cmpKeys(ka, kb []types.Value) int {
 // step, breaking ties toward the earliest chunk. Chunks are contiguous
 // input ranges, so earliest-chunk tie-breaking is exactly the stability
 // rule, and the merged permutation equals the serial stable sort's.
-func (n *SortNode) parallelSort(ctx *Ctx, idx []int, keys [][]types.Value, workers int) error {
+func (n *SortNode) parallelSort(ctx *Ctx, idx []int, keys []schema.Row, workers int) error {
 	nrows := len(idx)
 	chunk := (nrows + workers - 1) / workers
 	type span struct{ lo, hi int }
@@ -429,26 +432,6 @@ func (n *LimitNode) Label() string {
 // Children implements Node.
 func (n *LimitNode) Children() []Node { return []Node{n.Input} }
 
-// Execute implements Node.
-func (n *LimitNode) Execute(ctx *Ctx) (*Result, error) {
-	in, err := Run(ctx, n.Input)
-	if err != nil {
-		return nil, err
-	}
-	rows := in.Rows
-	if n.Offset > 0 {
-		if int64(len(rows)) <= n.Offset {
-			rows = nil
-		} else {
-			rows = rows[n.Offset:]
-		}
-	}
-	if n.N >= 0 && int64(len(rows)) > n.N {
-		rows = rows[:n.N]
-	}
-	return &Result{Schema: n.schema, Rows: rows}, nil
-}
-
 // DistinctNode removes duplicate rows (all columns), keeping first
 // occurrences in input order.
 type DistinctNode struct {
@@ -470,9 +453,9 @@ func (n *DistinctNode) Label() string { return "Distinct" }
 // Children implements Node.
 func (n *DistinctNode) Children() []Node { return []Node{n.Input} }
 
-// Execute implements Node.
-func (n *DistinctNode) Execute(ctx *Ctx) (*Result, error) {
-	in, err := Run(ctx, n.Input)
+// materialize implements breaker.
+func (n *DistinctNode) materialize(ctx *Ctx) (*Result, error) {
+	in, err := ctx.run(n.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -531,8 +514,8 @@ func (n *SetOpNode) Label() string {
 // Children implements Node.
 func (n *SetOpNode) Children() []Node { return []Node{n.Left, n.Right} }
 
-// Execute implements Node. The two inputs execute concurrently.
-func (n *SetOpNode) Execute(ctx *Ctx) (*Result, error) {
+// materialize implements breaker. The two inputs execute concurrently.
+func (n *SetOpNode) materialize(ctx *Ctx) (*Result, error) {
 	l, r, err := runPair(ctx, n.Left, n.Right)
 	if err != nil {
 		return nil, err
@@ -593,8 +576,8 @@ func (n *UnionNode) Label() string {
 // Children implements Node.
 func (n *UnionNode) Children() []Node { return []Node{n.Left, n.Right} }
 
-// Execute implements Node. The two inputs execute concurrently.
-func (n *UnionNode) Execute(ctx *Ctx) (*Result, error) {
+// materialize implements breaker. The two inputs execute concurrently.
+func (n *UnionNode) materialize(ctx *Ctx) (*Result, error) {
 	l, r, err := runPair(ctx, n.Left, n.Right)
 	if err != nil {
 		return nil, err

@@ -15,12 +15,13 @@ import (
 // Right (build) on equality keys, with an optional residual predicate over
 // the concatenated row.
 //
-// Both phases are morsel-parallel: build keys are evaluated in parallel,
-// then the hash table is partitioned by key hash into per-worker
-// sub-tables each built by one goroutine (rows land in input order, as in
-// the serial build); probe morsels write per-morsel output slices that
-// concatenate in morsel order, so the output is bit-identical to serial
-// execution. The two inputs themselves execute concurrently.
+// The join is a pipeline stage over its probe side. The build runs when
+// the pipeline opens: build keys are evaluated morsel-parallel, then the
+// hash table is partitioned by key hash into per-worker sub-tables each
+// built by one goroutine (rows land in input order, as in the serial
+// build). The probe then runs per morsel inside the pump's workers, and
+// the pump delivers morsels in order, so the output is bit-identical to
+// serial execution.
 type HashJoinNode struct {
 	base
 	Left, Right Node
@@ -137,58 +138,26 @@ func buildJoinTable(ctx *Ctx, rows []schema.Row, keys []*eval.Compiled, workers 
 	}
 	vec := ctx.useVector(keys...)
 
-	// Phase 1: encode every row's key into per-morsel arenas (NULL keys
-	// never join; they keep a nil slot). The vector path batch-evaluates
-	// the key expressions into column vectors and feeds the encoder from
-	// those.
+	// Phase 1: encode every row's key into per-worker arenas (NULL keys
+	// never join; they keep a nil slot).
 	keyBytes := make([][]byte, n)
 	hashes := make([]uint64, n)
 	encs := make([]keyEnc, workers)
 	err := ctx.parallelFor(n, workers, func(w, _, lo, hi int) error {
-		enc := &encs[w]
+		var cols [][]types.Value
+		if vec {
+			cols = evalScratch(len(keys), MorselSize)
+		}
 		var arena []byte
-		encodeSerial := func(b, e int) error {
-			for i := b; i < e; i++ {
-				if err := ctx.Tick(i - b); err != nil {
-					return err
-				}
-				key, null, err := enc.funcs(keys, rows[i])
-				if err != nil {
-					return err
-				}
-				if null {
-					continue
-				}
-				start := len(arena)
-				arena = append(arena, key...)
-				kb := arena[start:len(arena):len(arena)]
-				keyBytes[i] = kb
-				hashes[i] = hashKey(kb)
-			}
-			return nil
+		if err := ctx.encodeKeys(&encs[w], keys, rows, lo, hi, cols, true, &arena, keyBytes); err != nil {
+			return err
 		}
-		if !vec {
-			return encodeSerial(lo, hi)
+		for i := lo; i < hi; i++ {
+			if keyBytes[i] != nil {
+				hashes[i] = hashKey(keyBytes[i])
+			}
 		}
-		cols := evalScratch(len(keys), MorselSize)
-		return ctx.forBatches(lo, hi, func(b, e int) error {
-			chunk := rows[b:e]
-			if !tryBatchAll(keys, chunk, cols) {
-				return encodeSerial(b, e)
-			}
-			for i := range chunk {
-				key, null := enc.cols(cols, i)
-				if null {
-					continue
-				}
-				start := len(arena)
-				arena = append(arena, key...)
-				kb := arena[start:len(arena):len(arena)]
-				keyBytes[b+i] = kb
-				hashes[b+i] = hashKey(kb)
-			}
-			return nil
-		})
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -246,86 +215,92 @@ func buildJoinTable(ctx *Ctx, rows []schema.Row, keys []*eval.Compiled, workers 
 	return jt, nil
 }
 
-// Execute implements Node.
-func (n *HashJoinNode) Execute(ctx *Ctx) (*Result, error) {
-	build, buildRows := n.cachedTable(ctx)
-	var l, r *Result
-	var err error
-	if build != nil {
-		// Cache hit: the build input isn't run at all — the whole point
-		// for a prepared statement probing a static dimension table.
-		l, err = Run(ctx, n.Left)
-	} else {
-		l, r, err = runPair(ctx, n.Left, n.Right)
-		if err == nil {
-			buildRows = len(r.Rows)
+// joinStage probes a hash join's build table with each batch of its
+// probe side (Left).
+type joinStage struct {
+	n         *HashJoinNode
+	build     *joinTable
+	buildRows int
+	vec       bool
+	reserved  int64
+}
+
+func (j *joinStage) node() Node { return j.n }
+
+// open builds the table — or reuses a CacheBuild table — and reserves
+// its working set. When the budget refuses the reservation and the query
+// may spill, the join runs its probe side through Run and takes the
+// grace-hash path, returning the whole joined result.
+func (j *joinStage) open(p *pipe) (*Result, error) {
+	c := p.ctx
+	build, buildRows := j.n.cachedTable(c)
+	var r *Result
+	if build == nil {
+		var err error
+		if r, err = c.run(j.n.Right); err != nil {
+			return nil, err
 		}
+		buildRows = len(r.Rows)
 	}
-	if err != nil {
-		return nil, err
-	}
-	// Reserve the build table and probe-key working set; a refused
-	// reservation degrades to the grace-hash path when spilling is
-	// enabled (running the build input first if the cache had skipped
-	// it, exactly as a cold run would).
-	work := joinWorkBytes(len(l.Rows), buildRows)
-	if err := ctx.res.Reserve(work); err != nil {
-		if !ctx.res.CanSpill() {
+	work := joinWorkBytes(0, buildRows)
+	if err := c.res.Reserve(work); err != nil {
+		if !c.res.CanSpill() {
 			return nil, err
 		}
 		if r == nil {
-			if r, err = Run(ctx, n.Right); err != nil {
+			// A cached build skipped the build input; the disk path needs
+			// its rows, exactly as a cold run would.
+			if r, err = c.run(j.n.Right); err != nil {
 				return nil, err
 			}
 		}
-		return n.graceExecute(ctx, l, r)
-	}
-	defer ctx.res.Release(work)
-	workers := ctx.workersFor(max(len(l.Rows), buildRows))
-	ctx.noteWorkers(n, workers)
-	vecProbe := ctx.useVector(n.LeftKeys...) && ctx.useVector(n.Residual)
-	ctx.noteEval(n, ctx.useVector(n.RightKeys...) && vecProbe, len(l.Rows)+buildRows)
-
-	if build == nil {
-		build, err = buildJoinTable(ctx, r.Rows, n.RightKeys, workers)
+		l, err := c.run(j.n.Left)
 		if err != nil {
 			return nil, err
 		}
-		n.builds.Add(1)
-		// Only a complete in-memory build is cached — the grace path
-		// returned above, and errors never reach here.
-		n.storeTable(ctx, build, buildRows)
+		return j.n.graceExecute(c, l, r)
 	}
-
-	probeWorkers := workers
-	if w := ctx.workersFor(len(l.Rows)); probeWorkers > w {
-		probeWorkers = w
-	}
-	outs := make([][]schema.Row, morselCount(len(l.Rows), probeWorkers))
-	pss := make([]*probeState, probeWorkers)
-	for w := range pss {
-		pss[w] = newProbeState(n, build, vecProbe)
-	}
-	err = ctx.parallelFor(len(l.Rows), probeWorkers, func(w, m, lo, hi int) error {
-		out, err := pss[w].probeRange(ctx, l.Rows, lo, hi, make([]schema.Row, 0, hi-lo))
-		if err != nil {
-			return err
+	j.reserved = work
+	if build == nil {
+		workers := c.workersFor(buildRows)
+		c.noteWorkers(j.n, workers)
+		var err error
+		if build, err = buildJoinTable(c, r.Rows, j.n.RightKeys, workers); err != nil {
+			return nil, err
 		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		j.n.builds.Add(1)
+		// Only a complete in-memory build is cached.
+		j.n.storeTable(c, build, buildRows)
 	}
-	rows := concatMorsels(outs)
-	ctx.res.Charge(int64(len(rows)) * (rowHdrBytes + int64(n.schema.Len())*valueBytes))
-	return &Result{Schema: n.schema, Rows: rows}, nil
+	j.build, j.buildRows = build, buildRows
+	j.vec = c.useVector(j.n.LeftKeys...) && c.useVector(j.n.Residual)
+	return nil, nil
+}
+
+func (j *joinStage) worker(p *pipe) batchFn {
+	c := p.ctx
+	ps := newProbeState(j.n, j.build, j.vec)
+	perRow := rowHdrBytes + int64(j.n.schema.Len())*valueBytes
+	return func(in []schema.Row) ([]schema.Row, error) {
+		out, err := ps.probeRange(c, in, 0, len(in), make([]schema.Row, 0, len(in)))
+		if err != nil {
+			return nil, err
+		}
+		p.charge(int64(len(out)) * perRow)
+		return out, nil
+	}
+}
+
+func (j *joinStage) close(p *pipe, rowsIn int) {
+	c := p.ctx
+	c.res.Release(j.reserved)
+	j.reserved = 0
+	c.noteEval(j.n, c.useVector(j.n.RightKeys...) && j.vec, rowsIn+j.buildRows)
 }
 
 // probeState is the reusable per-worker state of a hash-join probe: the
-// key encoder and, in vector mode, the evaluation scratch. One instance
-// serves one goroutine at a time — the materializing Execute keeps one
-// per pool worker, the streaming joinSource keeps one for its consumer.
+// key encoder and, in vector mode, the evaluation scratch. Each pump
+// worker owns one instance.
 type probeState struct {
 	n          *HashJoinNode
 	build      *joinTable
@@ -478,8 +453,8 @@ func (n *NestedLoopJoinNode) Label() string { return "NLJoin(" + n.Desc + ")" }
 // Children implements Node.
 func (n *NestedLoopJoinNode) Children() []Node { return []Node{n.Left, n.Right} }
 
-// Execute implements Node.
-func (n *NestedLoopJoinNode) Execute(ctx *Ctx) (*Result, error) {
+// materialize implements breaker.
+func (n *NestedLoopJoinNode) materialize(ctx *Ctx) (*Result, error) {
 	l, r, err := runPair(ctx, n.Left, n.Right)
 	if err != nil {
 		return nil, err

@@ -146,3 +146,46 @@ func (s rowSet) add(key []byte) bool {
 func (s rowSet) contains(key []byte) bool {
 	return s.t.lookup(hashKey(key), key) != nil
 }
+
+// encodeKeys encodes the composite keys of rows[lo:hi] into keys[lo:hi],
+// appending them to *arena so every key slice stays stable; a NULL key
+// leaves a nil slot when skipNull. With cols (the caller's scratch; nil
+// selects the row path) the key expressions are batch-evaluated per
+// MorselSize chunk, and a chunk whose kernel fails reruns the row loop,
+// so errors match it exactly.
+func (c *Ctx) encodeKeys(enc *keyEnc, exprs []*eval.Compiled, rows []schema.Row, lo, hi int, cols [][]types.Value, skipNull bool, arena *[]byte, keys [][]byte) error {
+	put := func(i int, key []byte, null bool) {
+		if null && skipNull {
+			return
+		}
+		start := len(*arena)
+		*arena = append(*arena, key...)
+		keys[i] = (*arena)[start:len(*arena):len(*arena)]
+	}
+	serial := func(b, e int) error {
+		for i := b; i < e; i++ {
+			if err := c.Tick(i - b); err != nil {
+				return err
+			}
+			key, null, err := enc.funcs(exprs, rows[i])
+			if err != nil {
+				return err
+			}
+			put(i, key, null)
+		}
+		return nil
+	}
+	if cols == nil {
+		return serial(lo, hi)
+	}
+	return c.forBatches(lo, hi, func(b, e int) error {
+		if !tryBatchAll(exprs, rows[b:e], cols) {
+			return serial(b, e)
+		}
+		for i := b; i < e; i++ {
+			key, null := enc.cols(cols, i-b)
+			put(i, key, null)
+		}
+		return nil
+	})
+}

@@ -4,15 +4,20 @@
 // set operations, and the SQL/OLAP window operator with ROWS and RANGE
 // frames that the paper's cleansing templates compile into.
 //
-// Operators are batch-at-a-time: Execute materializes the full result.
-// At the scales this reproduction targets (hundreds of thousands to a few
-// million reads in memory) this is simpler and faster than an iterator
-// protocol, and it keeps per-operator timing honest in benchmarks.
+// There is one executor (stream.go). A plan runs as a tree of pipelines:
+// each pipeline is one morsel source — a scan, literal rows, or the
+// materialized output of a pipeline breaker — plus a chain of per-batch
+// stages (filter, project, requalify, hash-join probe) that the morsel
+// pump's workers apply to every morsel. Breakers (sort, aggregation,
+// window, distinct, set operations, the nested-loop join) read their
+// inputs whole through Run and materialize their output. Open streams a
+// plan's rows batch by batch; Run collects the same stream into a Result.
 //
-// Within a query, operators are morsel-parallel (see parallel.go): hot
-// loops fan out over a worker pool sized by the Parallelism knob while
-// preserving the exact serial output, and independent plan children (the
-// two inputs of a join or set operation) execute concurrently.
+// Within a query, work is morsel-parallel (see parallel.go): pipelines
+// and breaker hot loops fan out over a worker pool sized by the
+// Parallelism knob while preserving the exact serial output, and
+// independent plan children (the two inputs of a set operation or
+// nested-loop join) execute concurrently.
 package exec
 
 import (
@@ -35,10 +40,10 @@ type Result struct {
 
 // Ctx carries per-execution state: the governing context.Context (for
 // cancellation and deadlines), the per-query parallelism cap, the result
-// cache that lets shared subtrees (CTEs referenced twice, IN-subqueries)
-// run once per statement, and optional per-operator runtime statistics.
-// The cache and stats maps are mutex-guarded because independent plan
-// children execute concurrently (see runPair).
+// cache that lets shared subtrees (CTE bodies referenced from more than
+// one parent edge) run once per statement, and optional per-operator
+// runtime statistics. The cache and stats maps are mutex-guarded because
+// independent plan children execute concurrently (see runPair).
 type Ctx struct {
 	ctx context.Context
 	// par caps intra-query parallelism (worker-pool width per operator
@@ -55,7 +60,16 @@ type Ctx struct {
 	buildReuse bool
 	buildEpoch uint64
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// edges counts each node's parent edges over every plan passed to
+	// Run or Open under this context, counted once per plan; roots are
+	// the nodes callers passed to Run. Only those two kinds of node are
+	// cached: a node with more than one parent edge, so a shared subtree
+	// executes once even when it sits under two different breakers, and
+	// a Run root, so a repeated Run of it is a cache hit. Every other
+	// intermediate result is dropped as soon as its consumer is done.
+	edges map[Node]int
+	roots map[Node]bool
 	cache map[Node]*inflight
 	// stats, when non-nil, collects per-operator runtime statistics —
 	// rows, elapsed time, worker fan-out, eval mode, spill activity — in
@@ -78,9 +92,13 @@ type inflight struct {
 type NodeStats struct {
 	// Rows is the actual output cardinality.
 	Rows int
-	// Start is when the operator's Execute began.
+	// Start is when the operator (or the pipeline it is a stage of)
+	// started executing.
 	Start time.Time
-	// Elapsed is cumulative wall time of Execute, including children.
+	// Elapsed is cumulative time, inputs included. For a breaker it is
+	// the wall time of its materialization. For a pipeline stage or scan
+	// it is the operator's own summed batch time (summed over workers
+	// when the pipeline ran in parallel) plus its input's Elapsed.
 	Elapsed time.Duration
 	// Hits counts cache hits beyond the first execution (shared CTEs).
 	Hits int
@@ -113,7 +131,8 @@ func NewCtx() *Ctx { return NewCtxWith(context.Background()) }
 // poll it cooperatively (every cancelCheckInterval rows in their hot
 // loops) and abort with ctx.Err() once it is done.
 func NewCtxWith(ctx context.Context) *Ctx {
-	return &Ctx{ctx: ctx, par: defaultParallelism(), vec: Vectorize, res: govern.Unbounded(), cache: map[Node]*inflight{}}
+	return &Ctx{ctx: ctx, par: defaultParallelism(), vec: Vectorize, res: govern.Unbounded(),
+		edges: map[Node]int{}, roots: map[Node]bool{}, cache: map[Node]*inflight{}}
 }
 
 // NewAnalyzeCtx returns a context that records per-operator statistics.
@@ -130,10 +149,6 @@ func (c *Ctx) EnableStats() *Ctx {
 	}
 	return c
 }
-
-// CollectingStats reports whether this execution records per-operator
-// statistics.
-func (c *Ctx) CollectingStats() bool { return c.stats != nil }
 
 // StatsSnapshot returns the per-operator statistics recorded so far, one
 // entry per distinct plan node (shared subtrees appear once, however
@@ -196,9 +211,6 @@ func (c *Ctx) EnableBuildReuse(epoch uint64) *Ctx {
 	return c
 }
 
-// Resources returns the execution's governance handle (never nil).
-func (c *Ctx) Resources() *govern.Resources { return c.res }
-
 func defaultParallelism() int {
 	if Parallelism < 1 {
 		return 1
@@ -213,91 +225,62 @@ func (c *Ctx) Stats(n Node) *NodeStats {
 	return c.stats[n]
 }
 
-// statLocked returns (creating if needed) the node's stats entry. The
-// caller must hold c.mu and have checked c.stats != nil. Notes recorded
-// mid-Execute land in the same entry Run finalizes with rows and timing,
-// so each operator's numbers exist exactly once.
-func (c *Ctx) statLocked(n Node) *NodeStats {
+// note applies f to n's stats entry (creating it if needed) under the
+// lock, when statistics are collected. Notes recorded mid-execution land
+// in the same entry that is finalized with rows and timing, so each
+// operator's numbers exist exactly once.
+func (c *Ctx) note(n Node, f func(st *NodeStats)) {
+	if c.stats == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	st := c.stats[n]
 	if st == nil {
 		st = &NodeStats{}
 		c.stats[n] = st
 	}
-	return st
+	f(st)
+}
+
+// noteDone records an operator's final rows and timing.
+func (c *Ctx) noteDone(n Node, rows int, start time.Time, elapsed time.Duration) {
+	c.note(n, func(st *NodeStats) { st.Rows, st.Start, st.Elapsed = rows, start, elapsed })
 }
 
 // noteWorkers records an operator's actual fan-out; serial execution is
 // not recorded.
 func (c *Ctx) noteWorkers(n Node, workers int) {
-	if c.stats == nil || workers <= 1 {
-		return
+	if workers > 1 {
+		c.note(n, func(st *NodeStats) { st.Workers = max(st.Workers, workers) })
 	}
-	c.mu.Lock()
-	if st := c.statLocked(n); workers > st.Workers {
-		st.Workers = workers
-	}
-	c.mu.Unlock()
-}
-
-// noteStreamRows publishes a streaming operator's running row count, so
-// a live stats snapshot (the active-query registry) shows progress while
-// the stream is still being consumed. The stream's cleanup overwrites
-// the entry with the authoritative final numbers. Called once per output
-// batch, never per row.
-func (c *Ctx) noteStreamRows(n Node, rows int, start time.Time) {
-	if c.stats == nil {
-		return
-	}
-	c.mu.Lock()
-	st := c.statLocked(n)
-	st.Rows = rows
-	if st.Start.IsZero() {
-		st.Start = start
-	}
-	c.mu.Unlock()
 }
 
 // noteSpill records an operator's spill activity: always on the query's
 // cumulative counters, and per-operator when stats are being collected.
 func (c *Ctx) noteSpill(n Node, runs int, bytes int64) {
 	c.res.NoteSpill(runs, bytes)
-	if c.stats == nil {
-		return
-	}
-	c.mu.Lock()
-	st := c.statLocked(n)
-	st.SpillRuns += runs
-	st.SpillBytes += bytes
-	c.mu.Unlock()
+	c.note(n, func(st *NodeStats) {
+		st.SpillRuns += runs
+		st.SpillBytes += bytes
+	})
 }
 
 // noteEval records whether an operator evaluated its expressions through
-// the vector kernels and over how many chunks. An operator calls it at
-// most once per execution; the recorded mode replaces any earlier one.
+// the vector kernels and over how many chunks. The recorded mode
+// replaces any earlier one.
 func (c *Ctx) noteEval(n Node, vectorized bool, rows int) {
-	if c.stats == nil {
-		return
-	}
 	mode, batches := "row", 0
 	if vectorized {
 		mode, batches = "vector", batchCount(rows)
 	}
-	c.mu.Lock()
-	st := c.statLocked(n)
-	st.EvalMode, st.Batches = mode, batches
-	c.mu.Unlock()
+	c.note(n, func(st *NodeStats) { st.EvalMode, st.Batches = mode, batches })
 }
 
 // noteSegments records a fused scan's zone-map outcome: how many storage
 // segments it considered and how many the zone maps skipped outright.
 func (c *Ctx) noteSegments(n Node, segments, pruned int) {
-	if c.stats == nil {
-		return
-	}
-	c.mu.Lock()
-	st := c.statLocked(n)
-	st.Segments, st.Pruned = segments, pruned
-	c.mu.Unlock()
+	c.note(n, func(st *NodeStats) { st.Segments, st.Pruned = segments, pruned })
 }
 
 // cancelCheckInterval is how many rows an operator hot loop processes
@@ -326,15 +309,14 @@ type OrderCol struct {
 	Desc bool
 }
 
-// Node is a physical operator.
+// Node is a physical operator. How a node executes is the executor's
+// business (stream.go): pipelined operators become stages of a morsel
+// pipeline, breakers materialize.
 type Node interface {
 	// Schema is the output shape.
 	Schema() *schema.Schema
 	// Children returns input operators, for EXPLAIN.
 	Children() []Node
-	// Execute materializes the output. Implementations must route child
-	// execution through Run so shared subtrees are cached.
-	Execute(ctx *Ctx) (*Result, error)
 	// Label names the operator for EXPLAIN output.
 	Label() string
 
@@ -344,66 +326,6 @@ type Node interface {
 	// Ordering is the output ordering the operator guarantees, outermost
 	// key first; nil means unordered.
 	Ordering() []OrderCol
-}
-
-// Run executes a node through the context cache. Nodes shared between
-// plan subtrees (CTEs) therefore execute exactly once per statement,
-// even when two plan children racing through runPair reach the shared
-// subtree at the same time — the second caller blocks on the first
-// execution and reuses its result.
-func Run(ctx *Ctx, n Node) (*Result, error) {
-	ctx.mu.Lock()
-	f, hit := ctx.cache[n]
-	if !hit {
-		f = &inflight{}
-		ctx.cache[n] = f
-	}
-	ctx.mu.Unlock()
-	f.once.Do(func() {
-		// Convert panics escaping any operator (serial paths included; the
-		// worker-pool goroutines carry their own recover) into a per-query
-		// ErrInternal instead of crashing the process.
-		defer func() {
-			if rec := recover(); rec != nil {
-				f.res, f.err = nil, govern.Internalize(rec)
-			}
-		}()
-		if err := ctx.Canceled(); err != nil {
-			f.err = err
-			return
-		}
-		if d := ctx.res.SlowOp(); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.ctx.Done():
-				f.err = ctx.ctx.Err()
-				return
-			}
-		}
-		var start time.Time
-		if ctx.stats != nil {
-			start = time.Now()
-		}
-		f.res, f.err = n.Execute(ctx)
-		if ctx.stats != nil && f.err == nil {
-			elapsed := time.Since(start)
-			ctx.mu.Lock()
-			st := ctx.statLocked(n)
-			st.Rows, st.Start, st.Elapsed = len(f.res.Rows), start, elapsed
-			ctx.mu.Unlock()
-		}
-	})
-	if f.err != nil {
-		return nil, f.err
-	}
-	if hit && ctx.stats != nil {
-		ctx.mu.Lock()
-		if st := ctx.stats[n]; st != nil {
-			st.Hits++
-		}
-		ctx.mu.Unlock()
-	}
-	return f.res, nil
 }
 
 // base carries the estimate/ordering fields every operator shares. The
@@ -512,44 +434,6 @@ func (s *ScanNode) Label() string {
 // Children implements Node.
 func (s *ScanNode) Children() []Node { return nil }
 
-// Execute implements Node.
-func (s *ScanNode) Execute(ctx *Ctx) (*Result, error) {
-	if s.IndexOrd >= 0 {
-		ix := s.Table.IndexByOrdinal(s.IndexOrd)
-		if ix == nil {
-			return nil, fmt.Errorf("exec: plan expects index on %s column %d but none exists", s.Table.Name, s.IndexOrd)
-		}
-		ids := ix.Scan(s.Bounds)
-		if err := ctx.reserveOrCharge(int64(len(ids)) * rowHdrBytes); err != nil {
-			return nil, err
-		}
-		rows := make([]schema.Row, len(ids))
-		// The gather loop writes disjoint positions, so morsels of the
-		// matched-id range fan out across workers.
-		workers := ctx.workersFor(len(ids))
-		ctx.noteWorkers(s, workers)
-		err := ctx.parallelFor(len(ids), workers, func(_, _, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				if err := ctx.Tick(i - lo); err != nil {
-					return err
-				}
-				rows[i] = s.Table.RowAt(int(ids[i]))
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Schema: s.schema, Rows: rows}, nil
-	}
-	if s.Pred != nil {
-		return s.executeFiltered(ctx)
-	}
-	// Sequential scan shares the table's (memoized) row materialization;
-	// downstream operators never mutate input rows.
-	return &Result{Schema: s.schema, Rows: s.Table.AllRows()}, nil
-}
-
 // scanMorsel is one segment-local unit of fused-scan work; it never
 // straddles a segment boundary, so in vectorized mode each morsel
 // evaluates the predicate over one window of its segment's column
@@ -563,8 +447,7 @@ type scanMorsel struct {
 // the row path reads every segment and is the pruning correctness
 // baseline) and splits the surviving segments into segment-local
 // morsels, recording the pruning outcome. It returns the morsels and
-// their total row count. Shared by the materializing executeFiltered
-// and the streaming scanSource.
+// their total row count.
 func (s *ScanNode) planFilteredMorsels(ctx *Ctx, vec bool) ([]scanMorsel, int) {
 	segs := s.Table.Segments()
 	considered := len(segs)
@@ -646,32 +529,79 @@ func (s *ScanNode) filterMorsel(ctx *Ctx, mo scanMorsel, vec bool) ([]schema.Row
 	return out, nil
 }
 
-// executeFiltered runs a sequential scan with the fused predicate: zone
-// maps prune whole segments, then segment-local morsels evaluate in
-// parallel into per-morsel output slices that concatenate in morsel
-// order.
-func (s *ScanNode) executeFiltered(ctx *Ctx) (*Result, error) {
-	vec := ctx.useVector(s.Pred)
-	morsels, total := s.planFilteredMorsels(ctx, vec)
-	if err := ctx.reserveOrCharge(int64(total) * rowHdrBytes); err != nil {
-		return nil, err
+// scanMorsels returns the pipeline source of a scan.
+func scanMorsels(s *ScanNode) source {
+	switch {
+	case s.IndexOrd >= 0:
+		return &indexSource{scan: s}
+	case s.Pred != nil:
+		return &fusedSource{scan: s}
 	}
-	workers := min(ctx.workersFor(total), len(morsels))
-	ctx.noteWorkers(s, workers)
-	ctx.noteEval(s, vec, total)
-	outs := make([][]schema.Row, len(morsels))
-	err := ctx.parallelMorsels(len(morsels), workers, func(_, m int) error {
-		out, err := s.filterMorsel(ctx, morsels[m], vec)
-		if err != nil {
-			return err
+	// A sequential scan shares the table's (memoized) row
+	// materialization; downstream operators never mutate input rows.
+	return &sliceSource{n: s, get: func() (*Result, error) { return &Result{Rows: s.Table.AllRows()}, nil }}
+}
+
+// fusedSource is a sequential scan with its predicate fused in: zone
+// maps prune segments at open, then each segment-local morsel evaluates
+// the predicate (see ScanNode.filterMorsel).
+type fusedSource struct {
+	scan    *ScanNode
+	morsels []scanMorsel
+	vec     bool
+}
+
+func (s *fusedSource) node() Node { return s.scan }
+
+func (s *fusedSource) open(p *pipe) (int, int, error) {
+	c := p.ctx
+	s.vec = c.useVector(s.scan.Pred)
+	morsels, total := s.scan.planFilteredMorsels(c, s.vec)
+	// Worst case every row matches; the output holds row references.
+	if err := p.reserveOrCharge(int64(total) * rowHdrBytes); err != nil {
+		return 0, 0, err
+	}
+	c.noteEval(s.scan, s.vec, total)
+	s.morsels = morsels
+	return len(morsels), total, nil
+}
+
+func (s *fusedSource) morsel(p *pipe, m int) ([]schema.Row, error) {
+	return s.scan.filterMorsel(p.ctx, s.morsels[m], s.vec)
+}
+
+// indexSource gathers the rows of an index range scan, morsel by morsel
+// over the matched row ids.
+type indexSource struct {
+	scan *ScanNode
+	ids  []int32
+}
+
+func (s *indexSource) node() Node { return s.scan }
+
+func (s *indexSource) open(p *pipe) (int, int, error) {
+	ix := s.scan.Table.IndexByOrdinal(s.scan.IndexOrd)
+	if ix == nil {
+		return 0, 0, fmt.Errorf("exec: plan expects index on %s column %d but none exists", s.scan.Table.Name, s.scan.IndexOrd)
+	}
+	s.ids = ix.Scan(s.scan.Bounds)
+	if err := p.reserveOrCharge(int64(len(s.ids)) * rowHdrBytes); err != nil {
+		return 0, 0, err
+	}
+	return batchCount(len(s.ids)), len(s.ids), nil
+}
+
+func (s *indexSource) morsel(p *pipe, m int) ([]schema.Row, error) {
+	lo := m * MorselSize
+	hi := min(lo+MorselSize, len(s.ids))
+	rows := make([]schema.Row, hi-lo)
+	for i := range rows {
+		if err := p.ctx.Tick(i); err != nil {
+			return nil, err
 		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		rows[i] = s.scan.Table.RowAt(int(s.ids[lo+i]))
 	}
-	return &Result{Schema: s.schema, Rows: concatMorsels(outs)}, nil
+	return rows, nil
 }
 
 // ValuesNode serves literal rows; used for planned constants and tests.
@@ -692,11 +622,6 @@ func (n *ValuesNode) Label() string { return fmt.Sprintf("Values(%d)", len(n.Row
 
 // Children implements Node.
 func (n *ValuesNode) Children() []Node { return nil }
-
-// Execute implements Node.
-func (n *ValuesNode) Execute(*Ctx) (*Result, error) {
-	return &Result{Schema: n.schema, Rows: n.RowsData}, nil
-}
 
 // RequalifyNode renames the qualifier of its child's schema without
 // touching rows; it gives a shared CTE body a per-reference alias.
@@ -720,12 +645,3 @@ func (n *RequalifyNode) Label() string { return "Requalify" }
 
 // Children implements Node.
 func (n *RequalifyNode) Children() []Node { return []Node{n.Input} }
-
-// Execute implements Node.
-func (n *RequalifyNode) Execute(ctx *Ctx) (*Result, error) {
-	r, err := Run(ctx, n.Input)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schema: n.schema, Rows: r.Rows}, nil
-}

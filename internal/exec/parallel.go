@@ -1,12 +1,13 @@
 // Morsel-driven intra-query parallelism (in the spirit of Leis et al.,
-// SIGMOD 2014): operator hot loops split their input into fixed-size
-// morsels that a pool of workers claims from a shared counter, so load
-// balances across cores without any static partitioning decision. Every
-// parallel operator preserves its serial output exactly — workers write
-// to disjoint, position-addressed state (per-morsel output slices
-// concatenated in morsel order, or per-index slots), hash partitions are
-// folded in global input order, and parallel sorts merge stably — so a
-// query's result is bit-identical at Parallelism=1 and Parallelism=N.
+// SIGMOD 2014): work is split into fixed-size morsels that a pool of
+// workers claims from a shared counter, so load balances across cores
+// without any static partitioning decision. A pipeline's workers carry
+// each morsel through the whole stage chain (pump.go); breaker hot loops
+// use parallelFor. Every parallel path preserves the serial output
+// exactly — pipeline morsels are delivered in morsel order, breaker
+// workers write to disjoint, position-addressed state, hash partitions
+// are folded in global input order, and parallel sorts merge stably — so
+// a query's result is bit-identical at Parallelism=1 and Parallelism=N.
 package exec
 
 import (
@@ -19,9 +20,9 @@ import (
 )
 
 // Parallelism is the default worker-pool width for intra-query
-// parallelism: morsel-parallel scans, filters, projections, join
-// build/probe, sort, aggregation, window partitions, and concurrent
-// execution of independent plan children. Set to 1 to force serial
+// parallelism: morsel-parallel pipelines (scans, filters, projections,
+// join probes), join builds, sort, aggregation, window partitions, and
+// concurrent execution of independent plan children. Set to 1 to force serial
 // execution process-wide; individual executions override it with
 // Ctx.SetParallelism (the repro.WithParallelism query option).
 var Parallelism = runtime.NumCPU()
@@ -51,16 +52,6 @@ func (c *Ctx) workersFor(n int) int {
 	return w
 }
 
-// morselCount returns how many morsels parallelFor will dispatch for n
-// rows on the given worker count; callers size per-morsel output slots
-// with it. Serial execution runs as a single morsel.
-func morselCount(n, workers int) int {
-	if workers <= 1 || n == 0 {
-		return 1
-	}
-	return (n + MorselSize - 1) / MorselSize
-}
-
 // parallelFor processes [0,n) in morsels claimed off a shared atomic
 // counter by `workers` goroutines. fn(worker, morsel, lo, hi) must
 // confine its writes to state owned by its worker index or morsel index
@@ -77,7 +68,7 @@ func (c *Ctx) parallelFor(n, workers int, fn func(worker, morsel, lo, hi int) er
 		c.res.MaybePanic()
 		return fn(0, 0, 0, n)
 	}
-	morsels := morselCount(n, workers)
+	morsels := batchCount(n)
 	var next atomic.Int64
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -119,61 +110,6 @@ func (c *Ctx) parallelFor(n, workers int, fn func(worker, morsel, lo, hi int) er
 	return firstError(errs)
 }
 
-// parallelMorsels dispatches nm pre-built work units — segment-local
-// scan morsels that never straddle a segment boundary — to workers
-// claiming indices off a shared counter. fn(worker, m) processes morsel
-// m under the same rules as parallelFor's fn: writes confined to
-// worker- or morsel-owned state, first error (or cancellation) aborts.
-// With workers <= 1 the morsels run in order on the calling goroutine.
-func (c *Ctx) parallelMorsels(nm, workers int, fn func(worker, m int) error) error {
-	if nm == 0 {
-		return nil
-	}
-	if workers <= 1 {
-		c.res.MaybePanic()
-		for m := 0; m < nm; m++ {
-			if err := c.Canceled(); err != nil {
-				return err
-			}
-			if err := fn(0, m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var next atomic.Int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					errs[w] = govern.Internalize(rec)
-				}
-			}()
-			for {
-				if err := c.Canceled(); err != nil {
-					errs[w] = err
-					return
-				}
-				m := int(next.Add(1)) - 1
-				if m >= nm {
-					return
-				}
-				c.res.MaybePanic()
-				if err := fn(w, m); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return firstError(errs)
-}
-
 func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
@@ -183,9 +119,8 @@ func firstError(errs []error) error {
 	return nil
 }
 
-// concatMorsels flattens per-morsel output slices in morsel order — the
-// step that restores the serial row order after a parallel filter or
-// probe.
+// concatMorsels flattens per-morsel output batches in morsel order —
+// how Run collects a pipeline's stream.
 func concatMorsels(outs [][]schema.Row) []schema.Row {
 	if len(outs) == 1 {
 		return outs[0]
@@ -202,18 +137,18 @@ func concatMorsels(outs [][]schema.Row) []schema.Row {
 }
 
 // runPair executes two independent plan children, concurrently when the
-// context allows more than one worker — the two inputs of a join or set
-// operation share no state, so their subtrees (each possibly fanning out
+// context allows more than one worker — the two inputs of a nested-loop
+// join or set operation share no state, so their subtrees (each possibly fanning out
 // its own morsel workers) overlap freely; the scheduler multiplexes the
-// combined goroutines onto GOMAXPROCS threads. Run's inflight tracking
-// makes a subtree shared between both sides execute exactly once.
+// combined goroutines onto GOMAXPROCS threads. The result cache makes a
+// subtree shared between both sides execute exactly once.
 func runPair(ctx *Ctx, a, b Node) (*Result, *Result, error) {
 	if ctx.par <= 1 {
-		ra, err := Run(ctx, a)
+		ra, err := ctx.run(a)
 		if err != nil {
 			return nil, nil, err
 		}
-		rb, err := Run(ctx, b)
+		rb, err := ctx.run(b)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -231,9 +166,9 @@ func runPair(ctx *Ctx, a, b Node) (*Result, *Result, error) {
 				rb, errB = nil, govern.Internalize(rec)
 			}
 		}()
-		rb, errB = Run(ctx, b)
+		rb, errB = ctx.run(b)
 	}()
-	ra, errA := Run(ctx, a)
+	ra, errA := ctx.run(a)
 	<-done
 	if errA != nil {
 		return nil, nil, errA

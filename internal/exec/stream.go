@@ -1,35 +1,33 @@
-// Pull-based streaming execution. Open compiles a plan into a tree of
-// batch iterators: scans, filters, projections, limits, and hash-join
-// probes stream morsel-sized row batches downstream while upstream
-// morsels are still being claimed, so the first rows leave the engine
-// long before the last segment is read. Pipeline breakers — sort, hash
-// aggregation, window, set operations, the join build side — keep their
-// materializing (bit-identical, spill-capable) Execute internally and
-// expose the same iterator surface over the finished result.
+// The executor. Open compiles a plan into pipelines and streams its rows;
+// Run collects the same stream. A pipeline is one morsel source — a
+// fused, plain or index scan, literal Values, or morsel-sized slices of a
+// materialized result — plus a chain of per-batch stages: filter,
+// project, requalify and hash-join probe. The morsel pump's workers carry
+// each morsel through the whole chain, each with its own stage scratch,
+// and deliver the outputs in morsel order (morsel-driven pipelining,
+// Leis et al., SIGMOD 2014). A LIMIT on top truncates on the consumer
+// side. Breakers (sort, aggregation, window, distinct, set operations,
+// the nested-loop join) read their inputs whole through Run and
+// materialize; a hash join builds its table through Run when its
+// pipeline opens.
 //
-// The streaming path preserves the engine's execution contract exactly:
-//   - Results and row order are byte-identical to Run at any parallelism
-//     (the parallel scan pump delivers morsels strictly in claim order).
-//   - Errors are the same sentinels: cooperative cancellation between
-//     batches, memory-budget reservations with the same accounting
-//     constants, panic containment per batch (govern.Internalize), and
-//     the SlowOp/WorkerPanic fault injections at the same points.
-//   - Shared subtrees (CTEs referenced from more than one parent edge)
-//     materialize through Run so they still execute exactly once.
-//
-// Closing a stream early — before exhaustion — shuts down its worker
-// goroutines and releases every memory reservation its operators hold;
-// spill files remain owned by govern.Resources and are removed by its
-// Close, as on the materializing path.
+// The contract holds at any parallelism: bit-identical rows in the same
+// order; the same error sentinels (cancellation polled on every pull,
+// before every morsel and inside row loops; budget reservations; panic
+// containment; the SlowOp/WorkerPanic injections); and a shared subtree
+// executes once per statement. Closing a stream early joins its workers
+// and releases its memory reservations; spill files stay owned by
+// govern.Resources until its Close.
 package exec
 
 import (
+	"fmt"
+	"slices"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/eval"
 	"repro/internal/govern"
 	"repro/internal/schema"
-	"repro/internal/types"
 )
 
 // Stream is a pull-based batch iterator over an executing plan. Next
@@ -51,27 +49,30 @@ type Stream interface {
 	Close() error
 }
 
+// breaker is a pipeline breaker: it reads its inputs whole through
+// Ctx.run and materializes its output.
+type breaker interface {
+	Node
+	materialize(ctx *Ctx) (*Result, error)
+}
+
+// Run executes the plan rooted at n and returns its whole result: the
+// collected stream of Open. When the stream is one already-materialized
+// result — a plain scan's rows, literal rows, or a breaker's output — Run
+// returns it without copying. The root's result is cached in ctx, so a
+// second Run of the same root is a cache hit (NodeStats.Hits).
+func Run(ctx *Ctx, n Node) (*Result, error) {
+	ctx.addPlan(n, true)
+	return ctx.run(n)
+}
+
 // Open compiles the plan rooted at n into a pull-based Stream executing
 // under ctx. Execution is lazy: no work happens (and no goroutines
-// start) until the first Next. The same Ctx rules apply as for Run —
-// SetParallelism / SetResources / EnableStats before Open, and a node
-// must not be both Run and Opened under one Ctx.
+// start) until the first Next. SetParallelism / SetResources /
+// EnableStats must be called before Open.
 func Open(ctx *Ctx, n Node) Stream {
-	// Count parent edges: a node reachable more than once (a shared CTE
-	// body) must go through Run so its subtree executes exactly once.
-	refs := map[Node]int{}
-	var walk func(Node)
-	walk = func(n Node) {
-		refs[n]++
-		if refs[n] > 1 {
-			return
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(n)
-	return buildStream(ctx, n, refs)
+	ctx.addPlan(n, false)
+	return ctx.pipeline(n, true)
 }
 
 // OwnsRows reports whether the rows a plan produces are freshly
@@ -82,612 +83,546 @@ func OwnsRows(n Node) bool {
 	switch t := n.(type) {
 	case *ProjectNode, *HashJoinNode, *NestedLoopJoinNode, *GroupNode, *WindowNode:
 		return true
-	case *FilterNode:
-		return OwnsRows(t.Input)
-	case *SortNode:
-		return OwnsRows(t.Input)
-	case *LimitNode:
-		return OwnsRows(t.Input)
-	case *DistinctNode:
-		return OwnsRows(t.Input)
-	case *RequalifyNode:
-		return OwnsRows(t.Input)
-	case *SetOpNode:
-		// Set-op output rows come from the left input.
-		return OwnsRows(t.Left)
+	case *FilterNode, *SortNode, *LimitNode, *DistinctNode, *RequalifyNode, *SetOpNode:
+		// These pass input rows through (set-op rows come from the left).
+		return OwnsRows(n.Children()[0])
 	case *UnionNode:
 		return OwnsRows(t.Left) && OwnsRows(t.Right)
 	default:
-		// Scans and Values alias shared buffers; unknown (external)
-		// operators get the conservative answer.
+		// Scans and Values alias shared buffers.
 		return false
 	}
 }
 
-// buildStream dispatches one node to its streaming source. Operators
-// without a streaming implementation — the pipeline breakers — fall back
-// to runSource, which materializes through Run and slices the result.
-func buildStream(ctx *Ctx, n Node, refs map[Node]int) Stream {
-	if refs[n] > 1 {
-		return runStream(ctx, n)
+// addPlan counts the parent edges of the plan rooted at root, once per
+// plan, and marks Run roots for caching.
+func (c *Ctx) addPlan(root Node, isRun bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if isRun {
+		c.roots[root] = true
 	}
-	switch t := n.(type) {
-	case *ScanNode:
-		if t.IndexOrd < 0 && t.Pred != nil {
-			return newOpStream(ctx, t, t.schema, &scanSource{scan: t}, false)
+	if _, seen := c.edges[root]; seen {
+		return
+	}
+	c.edges[root] = 0
+	var walk func(Node)
+	walk = func(n Node) {
+		for _, ch := range n.Children() {
+			_, seen := c.edges[ch]
+			c.edges[ch]++
+			if !seen {
+				walk(ch)
+			}
 		}
-		// Index and plain sequential scans materialize in one step (the
-		// gather is small or the row cache is shared); stream the slices.
-		return newOpStream(ctx, t, t.Schema(), &materialSource{get: t.Execute}, false)
-	case *ValuesNode:
-		return newOpStream(ctx, t, t.schema, &materialSource{get: t.Execute}, false)
-	case *FilterNode:
-		return newOpStream(ctx, t, t.schema, &filterSource{n: t, child: buildStream(ctx, t.Input, refs)}, false)
-	case *ProjectNode:
-		return newOpStream(ctx, t, t.schema, &projectSource{n: t, child: buildStream(ctx, t.Input, refs)}, false)
-	case *LimitNode:
-		return newOpStream(ctx, t, t.schema, &limitSource{n: t, child: buildStream(ctx, t.Input, refs)}, false)
-	case *RequalifyNode:
-		return newOpStream(ctx, t, t.schema, &passSource{child: buildStream(ctx, t.Input, refs)}, false)
-	case *HashJoinNode:
-		return newOpStream(ctx, t, t.schema, &joinSource{n: t, child: buildStream(ctx, t.Left, refs)}, false)
-	default:
-		return runStream(ctx, n)
+	}
+	walk(root)
+}
+
+// cached reports whether n's result goes through the result cache.
+func (c *Ctx) cached(n Node) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.edges[n] > 1 || c.roots[n]
+}
+
+// run executes n to a materialized result. A cached node executes once
+// per statement, even when plan children racing through runPair reach it
+// at the same time — the second caller blocks on the first execution and
+// reuses its result.
+func (c *Ctx) run(n Node) (*Result, error) {
+	if !c.cached(n) {
+		return c.pipeline(n, false).collect()
+	}
+	c.mu.Lock()
+	f, hit := c.cache[n]
+	if !hit {
+		f = &inflight{}
+		c.cache[n] = f
+	}
+	c.mu.Unlock()
+	f.once.Do(func() { f.res, f.err = c.pipeline(n, false).collect() })
+	if f.err != nil {
+		return nil, f.err
+	}
+	if hit {
+		c.note(n, func(st *NodeStats) { st.Hits++ })
+	}
+	return f.res, nil
+}
+
+// pipeline compiles top into one pipeline, walking down through a LIMIT
+// and the pipelined operators to the morsel source. A breaker at the top
+// is the source, materialized; any other breaker, LIMIT or cached node
+// below is a source served through run. With fromCache, top itself is
+// served from the cache when it is cached.
+func (c *Ctx) pipeline(top Node, fromCache bool) *pipe {
+	p := &pipe{ctx: c, sch: top.Schema()}
+	n := top
+	if l, ok := n.(*LimitNode); ok && !(fromCache && c.cached(n)) {
+		p.limit, p.skip = l, l.Offset
+		n = l.Input
+	}
+	for p.src == nil {
+		if (n != top || fromCache) && c.cached(n) {
+			p.src = c.runSource(n)
+			break
+		}
+		switch t := n.(type) {
+		case *FilterNode:
+			p.stages = append(p.stages, &filterStage{n: t})
+			n = t.Input
+		case *ProjectNode:
+			p.stages = append(p.stages, &projectStage{n: t})
+			n = t.Input
+		case *RequalifyNode:
+			p.stages = append(p.stages, requalifyStage{n: t})
+			n = t.Input
+		case *HashJoinNode:
+			p.stages = append(p.stages, &joinStage{n: t})
+			n = t.Left
+		case *ScanNode:
+			p.src = scanMorsels(t)
+		case *ValuesNode:
+			p.src = &sliceSource{n: t, get: func() (*Result, error) { return &Result{Rows: t.RowsData}, nil }}
+		default:
+			b, ok := n.(breaker)
+			switch {
+			case n != top: // a breaker or LIMIT feeding a stage
+				p.src = c.runSource(n)
+			case ok:
+				p.src = &sliceSource{get: func() (*Result, error) { return c.materialize(b) }}
+			default:
+				err := fmt.Errorf("exec: no executor for operator %T", n)
+				p.src = &sliceSource{get: func() (*Result, error) { return nil, err }}
+			}
+		}
+	}
+	slices.Reverse(p.stages)
+	return p
+}
+
+// runSource serves n's result, through run, in morsels; n records its
+// own stats.
+func (c *Ctx) runSource(n Node) *sliceSource {
+	return &sliceSource{get: func() (*Result, error) { return c.run(n) }}
+}
+
+// materialize runs a breaker under the per-operator contract: the
+// cancellation check, the SlowOp injection, panic containment, and its
+// NodeStats.
+func (c *Ctx) materialize(b breaker) (res *Result, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			res, err = nil, govern.Internalize(rec)
+		}
+	}()
+	if err := c.Canceled(); err != nil {
+		return nil, err
+	}
+	if err := c.slowOp(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	if res, err = b.materialize(c); err == nil {
+		c.noteDone(b, len(res.Rows), start, time.Since(start))
+	}
+	return res, err
+}
+
+// slowOp applies the SlowOp fault injection, honoring cancellation.
+func (c *Ctx) slowOp() error {
+	d := c.res.SlowOp()
+	if d <= 0 {
+		return nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-c.ctx.Done():
+		return c.ctx.Err()
 	}
 }
 
-// runStream materializes n through Run (breakers, shared subtrees,
-// external operators) and streams the finished result in morsel-sized
-// slices. Run applies the SlowOp injection and records the node's stats
-// itself, so the wrapper does neither.
-func runStream(ctx *Ctx, n Node) Stream {
-	return newOpStream(ctx, nil, n.Schema(), &materialSource{get: func(c *Ctx) (*Result, error) {
-		return Run(c, n)
-	}}, true)
-}
-
-// source is one operator's streaming engine behind an opStream: open
-// prepares state (and may start workers), step produces the next output
-// batch ((nil, nil) = exhausted; empty batches are allowed and skipped
-// by the wrapper), close stops workers and releases reservations. close
-// is called exactly once, possibly without open having run.
+// source produces a pipeline's input morsels. open runs once on the
+// consumer goroutine; morsel may then be called concurrently for
+// distinct m.
 type source interface {
-	open(c *Ctx) error
-	step(c *Ctx) ([]schema.Row, error)
-	close(c *Ctx)
+	// node is the operator whose stats the pipeline records for the
+	// source; nil when the result comes through run or materialize,
+	// which record them.
+	node() Node
+	open(p *pipe) (morsels, rows int, err error)
+	morsel(p *pipe, m int) ([]schema.Row, error)
 }
 
-// opStream adapts a source to the Stream interface and carries the
-// per-operator execution contract: lazy open with the cancellation check
-// and SlowOp injection Run performs, panic containment around every
-// batch, sticky errors, once-only cleanup, and NodeStats recording.
-type opStream struct {
-	ctx *Ctx
-	// node receives NodeStats on cleanup; nil when the source runs
-	// through Run, which records them itself.
-	node     Node
-	sch      *schema.Schema
-	src      source
-	skipSlow bool
-	opened   bool
-	done     bool
-	closed   bool
-	err      error
-	rows     int
-	start    time.Time
+// batchFn applies one stage to one batch. A batchFn belongs to a single
+// worker; it never reuses its output slices.
+type batchFn func(in []schema.Row) ([]schema.Row, error)
+
+// stage is one pipelined operator.
+type stage interface {
+	node() Node
+	// open prepares shared state on the consumer goroutine before any
+	// batch runs. A non-nil Result is the stage's whole output, already
+	// materialized (the hash join's grace-hash fallback): it replaces the
+	// stage and everything below it as the pipeline's source.
+	open(p *pipe) (*Result, error)
+	// worker returns the stage's batch function for one pump worker.
+	worker(p *pipe) batchFn
+	// close releases what open reserved and records the stage's eval
+	// mode over the rowsIn rows it consumed.
+	close(p *pipe, rowsIn int)
 }
 
-func newOpStream(ctx *Ctx, node Node, sch *schema.Schema, src source, skipSlow bool) *opStream {
-	return &opStream{ctx: ctx, node: node, sch: sch, src: src, skipSlow: skipSlow}
+// pipe is a pipeline's Stream: the per-pull contract (sticky errors,
+// panic containment, a cancellation poll on every pull, lazy open with
+// the SlowOp injection), the memory charged for its output, and the
+// stats of every operator in it.
+type pipe struct {
+	ctx    *Ctx
+	sch    *schema.Schema
+	src    source
+	stages []stage // bottom-up: stages[0] consumes the source's morsels
+	pump   *morselPump
+	// limit, when set, truncates the delivered batches.
+	limit         *LimitNode
+	skip, emitted int64
+	// nodes[i] is pipeline position i's stats node: the source, the
+	// stages, then the limit.
+	nodes []Node
+
+	opened, done, closed bool
+	// keep leaves the output charges in place at close: Run collected
+	// the rows, and they stay alive for the rest of the statement.
+	keep    bool
+	err     error
+	charged atomic.Int64
+	start   time.Time
+	// acc sums the rows and time of every delivered morsel per position;
+	// nil unless statistics are collected.
+	acc []posStat
 }
 
 // Schema implements Stream.
-func (s *opStream) Schema() *schema.Schema { return s.sch }
+func (p *pipe) Schema() *schema.Schema { return p.sch }
 
 // Next implements Stream.
-func (s *opStream) Next() (batch []schema.Row, err error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	if s.done {
-		return nil, nil
-	}
-	// Panics escaping any batch of work become this query's error
-	// instead of crashing the process — the streaming equivalent of
-	// Run's per-execution recover.
-	defer func() {
-		if rec := recover(); rec != nil {
-			batch, err = nil, govern.Internalize(rec)
-			s.fail(err)
-		}
-	}()
-	// Poll cancellation on every pull, so a canceled consumer (a client
-	// that hung up) stops the stream even when upstream work already
-	// finished.
-	if err := s.ctx.Canceled(); err != nil {
-		s.fail(err)
+func (p *pipe) Next() (batch []schema.Row, err error) {
+	if err := p.begin(); err != nil || p.done {
 		return nil, err
 	}
-	if !s.opened {
-		s.opened = true
-		s.start = time.Now()
-		if !s.skipSlow {
-			if d := s.ctx.res.SlowOp(); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-s.ctx.ctx.Done():
-					err := s.ctx.ctx.Err()
-					s.fail(err)
-					return nil, err
-				}
-			}
+	defer func() {
+		if rec := recover(); rec != nil {
+			batch, err = nil, p.fail(govern.Internalize(rec))
 		}
-		if err := s.src.open(s.ctx); err != nil {
-			s.fail(err)
-			return nil, err
+	}()
+	for {
+		if p.limit != nil && p.limit.N >= 0 && p.emitted >= p.limit.N {
+			return nil, p.Close()
+		}
+		out, ok, err := p.pump.next()
+		if err != nil {
+			return nil, p.fail(err)
+		}
+		if !ok {
+			return nil, p.Close()
+		}
+		if p.limit != nil {
+			out.rows = p.truncate(out.rows)
+		}
+		if p.acc != nil {
+			p.account(out)
+		}
+		if len(out.rows) > 0 {
+			return out.rows, nil
 		}
 	}
-	for {
-		b, err := s.src.step(s.ctx)
+}
+
+// begin applies the per-pull checks and opens the pipeline on the first
+// pull.
+func (p *pipe) begin() (err error) {
+	if p.err != nil || p.done {
+		return p.err
+	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = p.fail(govern.Internalize(rec))
+		}
+	}()
+	// Poll on every pull, so a canceled consumer (a client that hung up)
+	// stops the stream even when upstream work already finished.
+	if err := p.ctx.Canceled(); err != nil {
+		return p.fail(err)
+	}
+	if !p.opened {
+		p.opened = true
+		if err := p.open(); err != nil {
+			return p.fail(err)
+		}
+	}
+	return nil
+}
+
+// open opens the stages top-down, then the source, and sizes the pump.
+func (p *pipe) open() error {
+	c := p.ctx
+	p.start = time.Now()
+	// A bare materialized result went through the injection already.
+	if len(p.stages) > 0 || p.src.node() != nil {
+		if err := c.slowOp(); err != nil {
+			return err
+		}
+	}
+	var srcDur time.Duration
+	stageDur := make([]time.Duration, len(p.stages))
+	for i := len(p.stages) - 1; i >= 0; i-- {
+		t := time.Now()
+		res, err := p.stages[i].open(p)
+		stageDur[i] = time.Since(t)
 		if err != nil {
-			s.fail(err)
+			// Only the stages above were opened; cleanup closes those.
+			p.stages = p.stages[i+1:]
+			return err
+		}
+		if res != nil {
+			p.src = &sliceSource{n: p.stages[i].node(), get: func() (*Result, error) { return res, nil }}
+			srcDur = stageDur[i]
+			p.stages, stageDur = p.stages[i+1:], stageDur[i+1:]
+			break
+		}
+	}
+	t := time.Now()
+	nm, total, err := p.src.open(p)
+	srcDur += time.Since(t)
+	if err != nil {
+		return err
+	}
+	p.nodes = append(p.nodes, p.src.node())
+	for _, st := range p.stages {
+		p.nodes = append(p.nodes, st.node())
+	}
+	if p.limit != nil {
+		p.nodes = append(p.nodes, p.limit)
+	}
+	if c.stats != nil {
+		p.acc = make([]posStat, len(p.nodes))
+		p.acc[0].dur = srcDur
+		for i, d := range stageDur {
+			p.acc[i+1].dur = d
+		}
+	}
+	workers := min(c.workersFor(total), nm)
+	_, sliced := p.src.(*sliceSource)
+	if sliced && len(p.stages) == 0 {
+		// Slicing a finished result is no work to fan out.
+		workers = 1
+	}
+	if !sliced {
+		c.noteWorkers(p.src.node(), workers)
+	}
+	for _, st := range p.stages {
+		c.noteWorkers(st.node(), workers)
+	}
+	p.pump = newMorselPump(c, nm, workers, p.worker)
+	return nil
+}
+
+// worker returns one pump worker's morsel function: the source and every
+// stage, with that worker's own stage scratch.
+func (p *pipe) worker() morselFn {
+	fns := make([]batchFn, len(p.stages))
+	for i, st := range p.stages {
+		fns[i] = st.worker(p)
+	}
+	stats := p.acc != nil
+	return func(m int) (morselOut, error) {
+		var out morselOut
+		var t time.Time
+		if stats {
+			out.pos = make([]posStat, len(fns)+1)
+			t = time.Now()
+		}
+		rows, err := p.src.morsel(p, m)
+		if err != nil {
+			return out, err
+		}
+		if stats {
+			t = out.pos[0].note(rows, t)
+		}
+		for i, fn := range fns {
+			if len(rows) == 0 {
+				break
+			}
+			if rows, err = fn(rows); err != nil {
+				return out, err
+			}
+			if stats {
+				t = out.pos[i+1].note(rows, t)
+			}
+		}
+		out.rows = rows
+		return out, nil
+	}
+}
+
+// note records one position's output and the time since `since`, and
+// returns the current time.
+func (s *posStat) note(rows []schema.Row, since time.Time) time.Time {
+	now := time.Now()
+	s.rows, s.dur = len(rows), now.Sub(since)
+	return now
+}
+
+// truncate applies OFFSET and LIMIT to a delivered batch. Reaching the
+// limit stops the pump's workers at once; the batch stays valid, since
+// pipelines never reuse their output slices.
+func (p *pipe) truncate(b []schema.Row) []schema.Row {
+	k := min(p.skip, int64(len(b)))
+	b, p.skip = b[k:], p.skip-k
+	if n := p.limit.N; n >= 0 {
+		b = b[:min(int64(len(b)), n-p.emitted)]
+		if p.emitted+int64(len(b)) >= n {
+			p.pump.close()
+		}
+	}
+	p.emitted += int64(len(b))
+	return b
+}
+
+// account adds a delivered morsel's stats and publishes the running row
+// counts, so an active-query snapshot shows live progress; cleanup
+// writes the final numbers. One pass per batch, never per row.
+func (p *pipe) account(out morselOut) {
+	for i, ps := range out.pos {
+		p.acc[i].rows += ps.rows
+		p.acc[i].dur += ps.dur
+	}
+	if p.limit != nil {
+		p.acc[len(p.acc)-1].rows = int(p.emitted)
+	}
+	for i, n := range p.nodes {
+		if n != nil {
+			rows := p.acc[i].rows
+			p.ctx.note(n, func(st *NodeStats) { st.Rows, st.Start = rows, p.start })
+		}
+	}
+}
+
+// collect drains the pipeline into a Result. The output charges stay in
+// place: the caller holds the rows.
+func (p *pipe) collect() (*Result, error) {
+	p.keep = true
+	defer p.Close()
+	if err := p.begin(); err != nil {
+		return nil, err
+	}
+	if s, ok := p.src.(*sliceSource); ok && len(p.stages) == 0 && p.limit == nil {
+		// One already-materialized result: hand it over without copying.
+		if p.acc != nil {
+			p.acc[0].rows = len(s.rows)
+		}
+		return &Result{Schema: p.sch, Rows: s.rows}, nil
+	}
+	p.pump.start(p.pump.workers)
+	var batches [][]schema.Row
+	for {
+		b, err := p.Next()
+		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			s.done = true
-			s.cleanup()
-			return nil, nil
+			return &Result{Schema: p.sch, Rows: concatMorsels(batches)}, nil
 		}
-		if len(b) == 0 {
-			continue
-		}
-		s.rows += len(b)
-		// Publish the running row count so an active-query snapshot shows
-		// live progress; cleanup still writes the authoritative final
-		// stats. One mutex acquisition per batch, not per row.
-		if s.node != nil && s.ctx.stats != nil {
-			s.ctx.noteStreamRows(s.node, s.rows, s.start)
-		}
-		return b, nil
+		batches = append(batches, b)
 	}
 }
 
 // Close implements Stream.
-func (s *opStream) Close() error {
-	s.done = true
-	s.cleanup()
+func (p *pipe) Close() error {
+	p.done = true
+	p.cleanup()
 	return nil
 }
 
-func (s *opStream) fail(err error) {
-	if s.err == nil {
-		s.err = err
+func (p *pipe) fail(err error) error {
+	if p.err == nil {
+		p.err = err
 	}
-	s.cleanup()
+	p.cleanup()
+	return p.err
 }
 
-// cleanup runs exactly once per stream: it closes the source (stopping
-// workers and releasing reservations) and finalizes the operator's
-// NodeStats with the rows actually delivered.
-func (s *opStream) cleanup() {
-	if s.closed {
+// cleanup runs exactly once per stream: it joins the pump's workers,
+// closes the stages, releases the output charges (unless collected), and
+// finalizes every operator's NodeStats with the rows actually delivered.
+func (p *pipe) cleanup() {
+	if p.closed {
 		return
 	}
-	s.closed = true
-	s.src.close(s.ctx)
-	if s.node != nil && s.ctx.stats != nil && s.opened {
-		elapsed := time.Since(s.start)
-		s.ctx.mu.Lock()
-		st := s.ctx.statLocked(s.node)
-		st.Rows, st.Start, st.Elapsed = s.rows, s.start, elapsed
-		s.ctx.mu.Unlock()
+	p.closed = true
+	if p.pump != nil {
+		p.pump.close()
+	}
+	for i, st := range p.stages {
+		rowsIn := 0
+		if p.acc != nil {
+			rowsIn = p.acc[i].rows
+		}
+		st.close(p, rowsIn)
+	}
+	if !p.keep {
+		p.ctx.res.Release(p.charged.Swap(0))
+	}
+	if p.acc == nil {
+		return
+	}
+	var cum time.Duration
+	for i, n := range p.nodes {
+		cum += p.acc[i].dur
+		if n != nil {
+			p.ctx.noteDone(n, p.acc[i].rows, p.start, cum)
+		}
 	}
 }
 
-// ---- Materialized sources ----
+func (p *pipe) reserveOrCharge(n int64) error {
+	if err := p.ctx.reserveOrCharge(n); err != nil {
+		return err
+	}
+	p.charged.Add(n)
+	return nil
+}
 
-// materialSource executes a node's materializing path once at open and
-// serves the result in morsel-sized slices.
-type materialSource struct {
-	get  func(c *Ctx) (*Result, error)
+func (p *pipe) charge(n int64) {
+	p.ctx.res.Charge(n)
+	p.charged.Add(n)
+}
+
+// sliceSource serves a finished row slice — a plain scan's shared row
+// cache, literal Values rows, or a materialized result — in morsels.
+type sliceSource struct {
+	n    Node
+	get  func() (*Result, error)
 	rows []schema.Row
-	off  int
 }
 
-func (m *materialSource) open(c *Ctx) error {
-	r, err := m.get(c)
+func (s *sliceSource) node() Node { return s.n }
+
+func (s *sliceSource) open(*pipe) (int, int, error) {
+	r, err := s.get()
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	m.rows = r.Rows
-	return nil
+	s.rows = r.Rows
+	return batchCount(len(s.rows)), len(s.rows), nil
 }
 
-func (m *materialSource) step(*Ctx) ([]schema.Row, error) {
-	if m.off >= len(m.rows) {
-		return nil, nil
-	}
-	lo := m.off
-	hi := min(lo+MorselSize, len(m.rows))
-	m.off = hi
-	return m.rows[lo:hi:hi], nil
-}
-
-func (m *materialSource) close(*Ctx) { m.rows = nil }
-
-// ---- Scan ----
-
-// scanSource streams a fused-predicate sequential scan: zone maps prune
-// segments at open, then segment-local morsels are evaluated — in
-// parallel by the morsel pump when the input is large enough — and
-// delivered strictly in morsel order, so the batch sequence concatenates
-// to exactly executeFiltered's output.
-type scanSource struct {
-	scan    *ScanNode
-	pump    *morselPump
-	charged int64
-}
-
-func (s *scanSource) open(c *Ctx) error {
-	vec := c.useVector(s.scan.Pred)
-	morsels, total := s.scan.planFilteredMorsels(c, vec)
-	bytes := int64(total) * rowHdrBytes
-	if err := c.reserveOrCharge(bytes); err != nil {
-		return err
-	}
-	s.charged = bytes
-	workers := min(c.workersFor(total), len(morsels))
-	c.noteWorkers(s.scan, workers)
-	c.noteEval(s.scan, vec, total)
-	s.pump = newMorselPump(c, len(morsels), workers, func(m int) ([]schema.Row, error) {
-		return s.scan.filterMorsel(c, morsels[m], vec)
-	})
-	return nil
-}
-
-func (s *scanSource) step(*Ctx) ([]schema.Row, error) { return s.pump.next() }
-
-func (s *scanSource) close(c *Ctx) {
-	if s.pump != nil {
-		s.pump.close()
-	}
-	c.res.Release(s.charged)
-	s.charged = 0
-}
-
-// ---- Filter ----
-
-// filterSource pulls one child batch per step and keeps the rows whose
-// predicate is TRUE, with the same vector/row duality (and row-path
-// fallback on kernel errors) as FilterNode.Execute.
-type filterSource struct {
-	n       *FilterNode
-	child   Stream
-	vec     bool
-	sel     []int
-	charged int64
-	rowsIn  int
-}
-
-func (f *filterSource) open(c *Ctx) error {
-	f.vec = c.useVector(f.n.Pred)
-	if f.vec {
-		f.sel = make([]int, 0, MorselSize)
-	}
-	return nil
-}
-
-func (f *filterSource) step(c *Ctx) ([]schema.Row, error) {
-	b, err := f.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	if b == nil {
-		c.noteEval(f.n, f.vec, f.rowsIn)
-		return nil, nil
-	}
-	f.rowsIn += len(b)
-	// The WorkerPanic injection fires where the materializing operator
-	// would fire it: when a batch of work starts.
-	c.res.MaybePanic()
-	bytes := int64(len(b)) * rowHdrBytes
-	if err := c.reserveOrCharge(bytes); err != nil {
-		return nil, err
-	}
-	f.charged += bytes
-	out := make([]schema.Row, 0, len(b)/4+1)
-	if f.vec {
-		// Upstream batches can exceed MorselSize (a materialized breaker
-		// slice); keep kernel chunks at the scratch width.
-		for lo := 0; lo < len(b); lo += MorselSize {
-			hi := min(lo+MorselSize, len(b))
-			sel, perr := eval.EvalPredicateBatch(f.n.Pred, b[lo:hi], nil, f.sel[:0])
-			if perr != nil {
-				return nil, perr
-			}
-			f.sel = sel
-			for _, i := range sel {
-				out = append(out, b[lo+i])
-			}
-		}
-		return out, nil
-	}
-	for i, r := range b {
-		if err := c.Tick(i); err != nil {
-			return nil, err
-		}
-		ok, err := eval.EvalPredicate(f.n.Pred, r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-func (f *filterSource) close(c *Ctx) {
-	f.child.Close()
-	c.res.Release(f.charged)
-	f.charged = 0
-}
-
-// ---- Project ----
-
-// projectSource computes output columns batch-at-a-time; the vector path
-// assembles rows from one flat backing array per chunk, exactly like
-// ProjectNode.Execute, so adopted rows stay disjoint.
-type projectSource struct {
-	n       *ProjectNode
-	child   Stream
-	vec     bool
-	cols    [][]types.Value
-	charged int64
-	rowsIn  int
-}
-
-func (p *projectSource) open(c *Ctx) error {
-	p.vec = c.useVector(p.n.Exprs...)
-	if p.vec {
-		p.cols = evalScratch(len(p.n.Exprs), MorselSize)
-	}
-	return nil
-}
-
-func (p *projectSource) step(c *Ctx) ([]schema.Row, error) {
-	b, err := p.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	if b == nil {
-		c.noteEval(p.n, p.vec, p.rowsIn)
-		return nil, nil
-	}
-	p.rowsIn += len(b)
-	// WorkerPanic fires per batch, as in filterSource.
-	c.res.MaybePanic()
-	ne := len(p.n.Exprs)
-	bytes := int64(len(b)) * (rowHdrBytes + int64(ne)*valueBytes)
-	if err := c.reserveOrCharge(bytes); err != nil {
-		return nil, err
-	}
-	p.charged += bytes
-	out := make([]schema.Row, len(b))
-	serial := func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := c.Tick(i - lo); err != nil {
-				return err
-			}
-			row := make(schema.Row, ne)
-			for j, f := range p.n.Exprs {
-				v, err := f.Eval(b[i])
-				if err != nil {
-					return err
-				}
-				row[j] = v
-			}
-			out[i] = row
-		}
-		return nil
-	}
-	if !p.vec {
-		if err := serial(0, len(b)); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	for lo := 0; lo < len(b); lo += MorselSize {
-		hi := min(lo+MorselSize, len(b))
-		chunk := b[lo:hi]
-		if !tryBatchAll(p.n.Exprs, chunk, p.cols) {
-			if err := serial(lo, hi); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		flat := make([]types.Value, len(chunk)*ne)
-		for i := range chunk {
-			row := flat[i*ne : (i+1)*ne : (i+1)*ne]
-			for j := 0; j < ne; j++ {
-				row[j] = p.cols[j][i]
-			}
-			out[lo+i] = row
-		}
-	}
-	return out, nil
-}
-
-func (p *projectSource) close(c *Ctx) {
-	p.child.Close()
-	c.res.Release(p.charged)
-	p.charged = 0
-}
-
-// ---- Limit ----
-
-// limitSource skips Offset rows, then passes through at most N. Once the
-// limit is reached the next step reports EOS, which closes the child —
-// upstream work stops without draining the rest of the input.
-type limitSource struct {
-	n       *LimitNode
-	child   Stream
-	skip    int64
-	emitted int64
-	done    bool
-}
-
-func (l *limitSource) open(*Ctx) error {
-	l.skip = l.n.Offset
-	return nil
-}
-
-func (l *limitSource) step(*Ctx) ([]schema.Row, error) {
-	if l.done {
-		return nil, nil
-	}
-	b, err := l.child.Next()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	if l.skip > 0 {
-		if int64(len(b)) <= l.skip {
-			l.skip -= int64(len(b))
-			return b[:0], nil
-		}
-		b = b[l.skip:]
-		l.skip = 0
-	}
-	if l.n.N >= 0 {
-		left := l.n.N - l.emitted
-		if int64(len(b)) >= left {
-			b = b[:left]
-			l.done = true
-		}
-	}
-	l.emitted += int64(len(b))
-	return b, nil
-}
-
-func (l *limitSource) close(*Ctx) { l.child.Close() }
-
-// ---- Requalify ----
-
-// passSource forwards child batches untouched; the wrapping opStream
-// carries the requalified schema.
-type passSource struct{ child Stream }
-
-func (p *passSource) open(*Ctx) error                 { return nil }
-func (p *passSource) step(*Ctx) ([]schema.Row, error) { return p.child.Next() }
-func (p *passSource) close(*Ctx)                      { p.child.Close() }
-
-// ---- Hash join probe ----
-
-// joinSource materializes the build side (through Run, reusing a cached
-// build table when the context allows) at open, then probes child
-// batches incrementally. When the build-side reservation is refused and
-// the query may spill, the whole join degrades to the materializing
-// path — Run handles the grace-hash partitioning — and its result is
-// streamed in slices, keeping the budget semantics identical.
-type joinSource struct {
-	n         *HashJoinNode
-	child     Stream
-	ps        *probeState
-	vecProbe  bool
-	buildRows int
-	reserved  int64
-	charged   int64
-	rowsIn    int
-	mat       []schema.Row
-	matOff    int
-	matMode   bool
-}
-
-func (j *joinSource) open(c *Ctx) error {
-	build, buildRows := j.n.cachedTable(c)
-	if build == nil {
-		r, err := Run(c, j.n.Right)
-		if err != nil {
-			return err
-		}
-		buildRows = len(r.Rows)
-		work := joinWorkBytes(0, buildRows)
-		if err := c.res.Reserve(work); err != nil {
-			return j.fallback(c, err)
-		}
-		j.reserved = work
-		workers := c.workersFor(buildRows)
-		c.noteWorkers(j.n, workers)
-		build, err = buildJoinTable(c, r.Rows, j.n.RightKeys, workers)
-		if err != nil {
-			return err
-		}
-		j.n.builds.Add(1)
-		j.n.storeTable(c, build, buildRows)
-	} else {
-		work := joinWorkBytes(0, buildRows)
-		if err := c.res.Reserve(work); err != nil {
-			return j.fallback(c, err)
-		}
-		j.reserved = work
-	}
-	j.buildRows = buildRows
-	j.vecProbe = c.useVector(j.n.LeftKeys...) && c.useVector(j.n.Residual)
-	j.ps = newProbeState(j.n, build, j.vecProbe)
-	return nil
-}
-
-// fallback degrades to the fully materialized execution when the
-// in-memory build does not fit the budget: with spilling enabled Run
-// takes the grace-hash path (or fails with the same sentinel the
-// materializing plan would), and the finished result is streamed.
-func (j *joinSource) fallback(c *Ctx, rerr error) error {
-	if !c.res.CanSpill() {
-		return rerr
-	}
-	r, err := Run(c, j.n)
-	if err != nil {
-		return err
-	}
-	j.mat, j.matMode = r.Rows, true
-	return nil
-}
-
-func (j *joinSource) step(c *Ctx) ([]schema.Row, error) {
-	if j.matMode {
-		if j.matOff >= len(j.mat) {
-			return nil, nil
-		}
-		lo := j.matOff
-		hi := min(lo+MorselSize, len(j.mat))
-		j.matOff = hi
-		return j.mat[lo:hi:hi], nil
-	}
-	b, err := j.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	if b == nil {
-		c.noteEval(j.n, c.useVector(j.n.RightKeys...) && j.vecProbe, j.rowsIn+j.buildRows)
-		return nil, nil
-	}
-	j.rowsIn += len(b)
-	// WorkerPanic fires per batch, as in filterSource.
-	c.res.MaybePanic()
-	out := make([]schema.Row, 0, len(b))
-	out, err = j.ps.probeRange(c, b, 0, len(b), out)
-	if err != nil {
-		return nil, err
-	}
-	bytes := int64(len(out)) * (rowHdrBytes + int64(j.n.schema.Len())*valueBytes)
-	c.res.Charge(bytes)
-	j.charged += bytes
-	return out, nil
-}
-
-func (j *joinSource) close(c *Ctx) {
-	j.child.Close()
-	c.res.Release(j.reserved + j.charged)
-	j.reserved, j.charged = 0, 0
-	j.mat = nil
+func (s *sliceSource) morsel(_ *pipe, m int) ([]schema.Row, error) {
+	lo := m * MorselSize
+	hi := min(lo+MorselSize, len(s.rows))
+	return s.rows[lo:hi:hi], nil
 }

@@ -23,15 +23,6 @@ import (
 // row-baseline side of benchmarks.
 var Vectorize = true
 
-// VectorizeEnabled reports whether this execution runs batch kernels —
-// external operators (e.g. the planner's lazy subquery filter) consult it
-// to pick between their own batch and row loops.
-func (c *Ctx) VectorizeEnabled() bool { return c.vec }
-
-// NoteEval is the exported noteEval for operators defined outside this
-// package; under EXPLAIN ANALYZE it records the operator's eval mode.
-func (c *Ctx) NoteEval(n Node, vectorized bool, rows int) { c.noteEval(n, vectorized, rows) }
-
 // useVector reports whether this execution evaluates the given compiled
 // expressions through their batch kernels: vectorization is on and every
 // non-nil expression has a full vector kernel.
@@ -66,8 +57,9 @@ func (c *Ctx) forBatches(lo, hi int, fn func(b, e int) error) error {
 	return nil
 }
 
-// batchCount reports how many vector-kernel chunks cover n rows —
-// EXPLAIN ANALYZE's batches figure.
+// batchCount reports how many MorselSize chunks cover n rows: the
+// morsels of a parallel loop or pipeline, and EXPLAIN ANALYZE's batches
+// figure.
 func batchCount(n int) int {
 	if n <= 0 {
 		return 0
@@ -97,4 +89,49 @@ func tryBatchAll(exprs []*eval.Compiled, rows []schema.Row, cols [][]types.Value
 		}
 	}
 	return true
+}
+
+// evalRows evaluates exprs over in[lo:hi] into out[lo:hi], one fresh
+// tuple per input row. With cols (the caller's scratch; nil selects the
+// row path) each MorselSize chunk goes through the batch kernels and its
+// tuples are sliced out of one flat backing array, so they stay
+// disjoint; a chunk whose kernel fails reruns the row loop, so errors
+// match it exactly.
+func (c *Ctx) evalRows(exprs []*eval.Compiled, in []schema.Row, lo, hi int, cols [][]types.Value, out []schema.Row) error {
+	ne := len(exprs)
+	serial := func(b, e int) error {
+		for i := b; i < e; i++ {
+			if err := c.Tick(i - b); err != nil {
+				return err
+			}
+			row := make(schema.Row, ne)
+			for j, f := range exprs {
+				v, err := f.Eval(in[i])
+				if err != nil {
+					return err
+				}
+				row[j] = v
+			}
+			out[i] = row
+		}
+		return nil
+	}
+	if cols == nil {
+		return serial(lo, hi)
+	}
+	return c.forBatches(lo, hi, func(b, e int) error {
+		chunk := in[b:e]
+		if !tryBatchAll(exprs, chunk, cols) {
+			return serial(b, e)
+		}
+		flat := make([]types.Value, len(chunk)*ne)
+		for i := range chunk {
+			row := flat[i*ne : (i+1)*ne : (i+1)*ne]
+			for j := range row {
+				row[j] = cols[j][i]
+			}
+			out[b+i] = row
+		}
+		return nil
+	})
 }

@@ -81,13 +81,13 @@ func (n *WindowNode) Label() string {
 // Children implements Node.
 func (n *WindowNode) Children() []Node { return []Node{n.Input} }
 
-// Execute implements Node. Every per-row stage — partition-key
+// materialize implements breaker. Every per-row stage — partition-key
 // encoding, order-key extraction, aggregate-argument evaluation, and
 // the final column concatenation — is morsel-parallel with disjoint
 // position writes; partition spans then evaluate concurrently, each
 // span owned by one worker so running aggregates fold in input order.
-func (n *WindowNode) Execute(ctx *Ctx) (*Result, error) {
-	in, err := Run(ctx, n.Input)
+func (n *WindowNode) materialize(ctx *Ctx) (*Result, error) {
+	in, err := ctx.run(n.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -127,40 +127,12 @@ func (n *WindowNode) Execute(ctx *Ctx) (*Result, error) {
 	partKey := make([][]byte, nrows)
 	encs := make([]keyEnc, workers)
 	err = ctx.parallelFor(nrows, workers, func(w, _, lo, hi int) error {
-		enc := &encs[w]
+		var cols [][]types.Value
+		if ctx.useVector(n.PartKeys...) {
+			cols = evalScratch(len(n.PartKeys), MorselSize)
+		}
 		var arena []byte
-		partSerial := func(b, e int) error {
-			for i := b; i < e; i++ {
-				if err := ctx.Tick(i - b); err != nil {
-					return err
-				}
-				key, _, err := enc.funcs(n.PartKeys, rows[i])
-				if err != nil {
-					return err
-				}
-				start := len(arena)
-				arena = append(arena, key...)
-				partKey[i] = arena[start:len(arena):len(arena)]
-			}
-			return nil
-		}
-		if !ctx.useVector(n.PartKeys...) {
-			return partSerial(lo, hi)
-		}
-		cols := evalScratch(len(n.PartKeys), MorselSize)
-		return ctx.forBatches(lo, hi, func(b, e int) error {
-			chunk := rows[b:e]
-			if !tryBatchAll(n.PartKeys, chunk, cols) {
-				return partSerial(b, e)
-			}
-			for i := range chunk {
-				key, _ := enc.cols(cols, i)
-				start := len(arena)
-				arena = append(arena, key...)
-				partKey[b+i] = arena[start:len(arena):len(arena)]
-			}
-			return nil
-		})
+		return ctx.encodeKeys(&encs[w], n.PartKeys, rows, lo, hi, cols, false, &arena, partKey)
 	})
 	if err != nil {
 		return nil, err

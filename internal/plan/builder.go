@@ -1,3 +1,11 @@
+// Package plan translates SQL statements into physical operator trees:
+// name resolution, predicate classification and pushdown (including
+// through views and UNION branches), index-scan selection, greedy join
+// ordering, window-function extraction with sort-order sharing, and a
+// cardinality/cost model. The query-rewrite engine in internal/core uses
+// the planner's cost estimates to choose among candidate rewrites, the
+// same way the paper compiles each candidate on the DBMS and keeps the
+// cheapest.
 package plan
 
 import (
@@ -12,6 +20,7 @@ import (
 	"repro/internal/sqlast"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
+	"repro/internal/types"
 )
 
 // Planner compiles statements against a database.
@@ -442,7 +451,14 @@ func (b *builder) planSource(src *source, conjs []sqlast.Expr, scope *cteScope) 
 	return nil, fmt.Errorf("plan: unsupported FROM element %T", src.ast)
 }
 
+// requalify gives a freshly planned view or derived-table body its
+// reference alias. The body is referenced once, so a projection on top
+// absorbs the rename; other roots (and CTE references, see planSource)
+// keep a Requalify node.
 func requalify(pl *planned, binding string) *planned {
+	if p, ok := pl.node.(*exec.ProjectNode); ok {
+		return &planned{node: p.Requalified(binding), stats: pl.stats}
+	}
 	return &planned{node: exec.NewRequalifyNode(pl.node, binding), stats: pl.stats}
 }
 
@@ -480,9 +496,9 @@ func (b *builder) applyFilter(pl *planned, conjs []sqlast.Expr, scope *cteScope)
 	return b.filterNode(pl, expr, scope)
 }
 
-// filterNode builds a (possibly lazy) filter over pl.
+// filterNode builds a filter over pl.
 func (b *builder) filterNode(pl *planned, expr sqlast.Expr, scope *cteScope) (*planned, error) {
-	subplans, subCost, err := b.planSubqueries(expr, scope)
+	stmts, subplans, subCost, err := b.planSubqueries(expr, scope)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +507,8 @@ func (b *builder) filterNode(pl *planned, expr sqlast.Expr, scope *cteScope) (*p
 	cost := pl.node.EstCost() + evalCPU(pl.node.EstRows(), costFilterRow) + subCost
 	desc := abbreviate(sqlast.ExprSQL(expr))
 	if len(subplans) > 0 {
-		n := &lazyFilterNode{input: pl.node, expr: expr, subplans: subplans, desc: desc, estRows: rows, estCost: cost}
+		n := subqueryFilter(pl, expr, stmts, subplans, desc)
+		exec.SetEstimates(n, rows, cost)
 		return &planned{node: n, stats: pl.stats}, nil
 	}
 	pred, err := eval.Compile(expr, &eval.Env{Schema: pl.schema()})
@@ -503,8 +520,37 @@ func (b *builder) filterNode(pl *planned, expr sqlast.Expr, scope *cteScope) (*p
 	return &planned{node: n, stats: pl.stats}, nil
 }
 
-// planSubqueries plans every IN/EXISTS subquery inside expr.
-func (b *builder) planSubqueries(expr sqlast.Expr, scope *cteScope) (map[sqlast.Stmt]exec.Node, float64, error) {
+// subqueryFilter builds a filter whose predicate reads uncorrelated
+// IN/EXISTS subqueries. The subquery plans become the filter's children
+// in predicate order. The predicate compiles when the filter's pipeline
+// opens, from the subqueries' results: planning must never execute
+// anything, or costing candidate rewrites would pay for running them.
+func subqueryFilter(pl *planned, expr sqlast.Expr, stmts []sqlast.Stmt, plans map[sqlast.Stmt]exec.Node, desc string) *exec.FilterNode {
+	subs := make([]exec.Node, len(stmts))
+	index := make(map[sqlast.Stmt]int, len(stmts))
+	for i, s := range stmts {
+		subs[i] = plans[s]
+		index[s] = i
+	}
+	sch := pl.schema()
+	compile := func(vals [][]types.Value) (*eval.Compiled, error) {
+		return eval.Compile(expr, &eval.Env{
+			Schema: sch,
+			SubEval: func(s sqlast.Stmt) ([]types.Value, error) {
+				i, ok := index[s]
+				if !ok {
+					return nil, fmt.Errorf("plan: unplanned subquery in predicate %s", desc)
+				}
+				return vals[i], nil
+			},
+		})
+	}
+	return exec.NewSubqueryFilterNode(pl.node, subs, compile, desc)
+}
+
+// planSubqueries plans every IN/EXISTS subquery inside expr, returning
+// the statements in predicate order with their plans.
+func (b *builder) planSubqueries(expr sqlast.Expr, scope *cteScope) ([]sqlast.Stmt, map[sqlast.Stmt]exec.Node, float64, error) {
 	var stmts []sqlast.Stmt
 	sqlast.VisitExprs(expr, func(x sqlast.Expr) {
 		switch x := x.(type) {
@@ -517,19 +563,24 @@ func (b *builder) planSubqueries(expr sqlast.Expr, scope *cteScope) (map[sqlast.
 		}
 	})
 	if len(stmts) == 0 {
-		return nil, 0, nil
+		return nil, nil, 0, nil
 	}
 	plans := make(map[sqlast.Stmt]exec.Node, len(stmts))
+	ordered := stmts[:0]
 	cost := 0.0
 	for _, s := range stmts {
+		if _, dup := plans[s]; dup {
+			continue
+		}
 		pl, err := b.planStmt(s, scope)
 		if err != nil {
-			return nil, 0, fmt.Errorf("in subquery: %w", err)
+			return nil, nil, 0, fmt.Errorf("in subquery: %w", err)
 		}
 		plans[s] = pl.node
+		ordered = append(ordered, s)
 		cost += pl.node.EstCost()
 	}
-	return plans, cost, nil
+	return ordered, plans, cost, nil
 }
 
 func abbreviate(s string) string {

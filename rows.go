@@ -77,7 +77,7 @@ func (r *Rows) Row() []Value { return r.cur }
 // Err returns the error that terminated a streaming Rows, if any. It is
 // nil while rows remain, after a clean end of stream, and always on an
 // eager Rows (whose errors surface from Query itself). The error
-// matches the same sentinels as the materializing path (ErrCanceled,
+// matches the same sentinels as an eager Query (ErrCanceled,
 // ErrResourceExhausted, ErrInternal, ...).
 func (r *Rows) Err() error {
 	if r.src != nil {
